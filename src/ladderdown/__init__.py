@@ -12,8 +12,6 @@ from .curves import (
     ExpRampDipole,
     MorsePotential,
     TabulatedCurve,
-    evaluate_dipole,
-    evaluate_potential,
     krb_standin_dipole,
     krb_standin_potential,
     load_tabulated,

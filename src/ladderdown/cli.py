@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from .curves import (
     krb_standin_potential,
     load_tabulated,
 )
-from .dvr import RadialGrid, build_hamiltonian, sdme_map, solve_bound_states, lifetime
+from .dvr import RadialGrid, lifetime, sdme_map, solve_spectrum
 from .ga import GaConfig, LadderProblem, SurrogateProblem, optimize
 from .propagator import CapSpec, WavefunctionState, choose_time_step, propagate
 from .pulse import (
@@ -44,6 +44,7 @@ from .pulse import (
     ChirpedPulseParams,
     ParamRanges,
     bandwidth,
+    duration,
     fft_spectrum,
     heuristic_ranges,
     spectrum as pulse_spectrum_values,
@@ -64,16 +65,11 @@ def _fmt(x) -> str:
 # The four production presets pair the stand-in curves with the published
 # search ranges and optimal pulses of the one-rung (old*) and multi-rung
 # (mld*) scenarios; `desk` is a reduced-scale variant that runs in minutes.
+# A [ga] key appears only where it differs from its GaSettings default.
 
 _STANDIN_A = krb_standin_potential().a
 
-_COMMON_PRODUCTION = f"""
-[grid]
-r_min = 6.0
-r_max = 146.0
-n_points = 5600
-reduced_mass = {MU_K39RB87!r}
-
+_CURVES = f"""
 [potential]
 model = morse
 de = 1.1e-3
@@ -85,7 +81,15 @@ model = ramp
 d0 = 0.5
 rd = 28.0
 p = 2.0
+"""
 
+_COMMON_PRODUCTION = f"""
+[grid]
+r_min = 6.0
+r_max = 146.0
+n_points = 5600
+reduced_mass = {MU_K39RB87!r}
+""" + _CURVES + """
 [cap]
 r0 = 100.0
 eta = 5e-6
@@ -105,12 +109,6 @@ tau = 9.798e6
 chirp = 6.259e-13
 
 [ga]
-population = 40
-generations = 10
-elites = 5
-crossover_prob = 0.25
-mutation_prob = 0.9
-seed = 1
 eps0_range = 1.0e-3, 1.0e-2
 omega0_range = 3.1e-5, 3.6e-5
 tau0_range = 3.3e6, 3.5e7
@@ -130,12 +128,6 @@ tau = 1.146e7
 chirp = 7.300e-13
 
 [ga]
-population = 40
-generations = 10
-elites = 5
-crossover_prob = 0.25
-mutation_prob = 0.9
-seed = 1
 eps0_range = 1.0e-3, 1.0e-2
 omega0_range = 3.3e-5, 3.6e-5
 tau0_range = 3.3e6, 3.5e7
@@ -156,12 +148,6 @@ tau = 1.489e6
 chirp = 8.254e-12
 
 [ga]
-population = 40
-generations = 10
-elites = 5
-crossover_prob = 0.25
-mutation_prob = 0.9
-seed = 1
 eps0_range = 1.0e-3, 1.0e-2
 omega0_range = 1.0e-4, 1.8e-4
 tau0_range = 1.0e6, 1.0e7
@@ -182,12 +168,6 @@ tau = 1.003e6
 chirp = 5.832e-12
 
 [ga]
-population = 40
-generations = 10
-elites = 5
-crossover_prob = 0.25
-mutation_prob = 0.9
-seed = 1
 eps0_range = 1.0e-3, 1.0e-2
 omega0_range = 1.3e-4, 1.6e-4
 tau0_range = 3.3e6, 3.5e7
@@ -200,19 +180,7 @@ r_min = 8.0
 r_max = 68.0
 n_points = 1024
 reduced_mass = {MU_K39RB87!r}
-
-[potential]
-model = morse
-de = 1.1e-3
-re = 11.0
-a = {_STANDIN_A!r}
-
-[dipole]
-model = ramp
-d0 = 0.5
-rd = 28.0
-p = 2.0
-
+""" + _CURVES + """
 [cap]
 r0 = 48.0
 eta = 5e-6
@@ -226,9 +194,6 @@ ladder = 8, 6, 4, 2
 population = 12
 generations = 6
 elites = 2
-crossover_prob = 0.25
-mutation_prob = 0.9
-seed = 1
 tau_span = 2.5
 
 [propagation]
@@ -245,14 +210,16 @@ _REQUIRED = object()
 
 @dataclass
 class GaSettings:
-    population: int
-    generations: int
-    elites: int
-    crossover_prob: float
-    mutation_prob: float
-    seed: int
-    tau_span: float
+    """[ga] section; a missing key takes the default below (GA ones from GaConfig)."""
+
     ranges: ParamRanges | None
+    population: int = GaConfig.population_size
+    generations: int = GaConfig.generations
+    elites: int = GaConfig.elite_count
+    crossover_prob: float = GaConfig.crossover_prob
+    mutation_prob: float = GaConfig.mutation_prob
+    seed: int = 1
+    tau_span: float = 10.0
 
 
 @dataclass
@@ -298,12 +265,23 @@ def _parse_ladder(raw: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in raw.replace(",", " ").split())
 
 
-def parse_config(text: str) -> RunConfig:
+def _read_ini(text: str) -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}") from None
+    return cp
+
+
+def _parse_pulse(cp: configparser.ConfigParser) -> ChirpedPulseParams | None:
+    if not cp.has_section("pulse"):
+        return None
+    return ChirpedPulseParams(**{k: _get(cp, "pulse", k, float) for k in GENE_NAMES})
+
+
+def parse_config(text: str) -> RunConfig:
+    cp = _read_ini(text)
 
     grid = RadialGrid(
         r_min=_get(cp, "grid", "r_min", float),
@@ -352,16 +330,6 @@ def parse_config(text: str) -> RunConfig:
     if any(a <= b for a, b in zip(ladder, ladder[1:])):
         raise ConfigError(f"[levels] ladder: must strictly descend, got {ladder}")
 
-    pulse = None
-    if cp.has_section("pulse"):
-        pulse = ChirpedPulseParams(
-            eps0=_get(cp, "pulse", "eps0", float),
-            omega0=_get(cp, "pulse", "omega0", float),
-            tau0=_get(cp, "pulse", "tau0", float),
-            tau=_get(cp, "pulse", "tau", float),
-            chirp=_get(cp, "pulse", "chirp", float),
-        )
-
     ga = None
     if cp.has_section("ga"):
         explicit = {
@@ -374,16 +342,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"[ga]: incomplete explicit ranges, missing {missing}")
         else:
             ranges = None
-        ga = GaSettings(
-            population=_get(cp, "ga", "population", int, 40),
-            generations=_get(cp, "ga", "generations", int, 10),
-            elites=_get(cp, "ga", "elites", int, 5),
-            crossover_prob=_get(cp, "ga", "crossover_prob", float, 0.25),
-            mutation_prob=_get(cp, "ga", "mutation_prob", float, 0.9),
-            seed=_get(cp, "ga", "seed", int, 1),
-            tau_span=_get(cp, "ga", "tau_span", float, 10.0),
-            ranges=ranges,
-        )
+        ga = GaSettings(ranges, **{
+            f.name: _get(cp, "ga", f.name, type(f.default), f.default)
+            for f in fields(GaSettings)[1:]
+        })
 
     return RunConfig(
         grid=grid,
@@ -393,14 +355,10 @@ def parse_config(text: str) -> RunConfig:
         initial_level=initial,
         target_level=target,
         ladder=ladder,
-        pulse=pulse,
+        pulse=_parse_pulse(cp),
         ga=ga,
-        dt=_get(cp, "propagation", "dt", float, None) if cp.has_section("propagation") else None,
-        sample_stride=(
-            _get(cp, "propagation", "sample_stride", int, 100)
-            if cp.has_section("propagation")
-            else 100
-        ),
+        dt=_get(cp, "propagation", "dt", float, None),
+        sample_stride=_get(cp, "propagation", "sample_stride", int, 100),
         text=text,
     )
 
@@ -430,6 +388,17 @@ def _write(out: Path, name: str, text: str) -> Path:
     return path
 
 
+def _write_csv(out: Path, name: str, header: list[str] | None, rows) -> None:
+    """Header line (if any), then one row per line.
+
+    Cells are Python ints and floats (``ndarray.tolist()``), written with
+    repr: a float reads as ``_fmt`` writes it and an int stays an int.
+    """
+    lines = [] if header is None else [",".join(header)]
+    lines += [",".join(map(repr, row)) for row in rows]
+    _write(out, name, "\n".join(lines) + "\n")
+
+
 def _write_manifest(out: Path, command: str, config: RunConfig, seed, threads: int | None):
     manifest = {
         "command": command,
@@ -446,19 +415,18 @@ def _write_manifest(out: Path, command: str, config: RunConfig, seed, threads: i
     _write(out, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _solve(config: RunConfig):
-    h = build_hamiltonian(config.grid, config.potential)
-    return solve_bound_states(h, config.grid)
-
-
-def _pulse_from_file(path: str) -> ChirpedPulseParams:
-    cp = configparser.ConfigParser()
-    cp.read_string(Path(path).read_text(encoding="utf-8"))
-    if not cp.has_section("pulse"):
-        raise ConfigError(f"{path}: no [pulse] section")
-    return ChirpedPulseParams(
-        **{k: _get(cp, "pulse", k, float) for k in ("eps0", "omega0", "tau0", "tau", "chirp")}
-    )
+def _resolve_pulse(
+    config: RunConfig | None, pulse_file: str | None, command: str
+) -> ChirpedPulseParams:
+    """The --pulse file's [pulse] if given, else the config's."""
+    if pulse_file:
+        pulse = _parse_pulse(_read_ini(Path(pulse_file).read_text(encoding="utf-8")))
+        if pulse is None:
+            raise ConfigError(f"{pulse_file}: no [pulse] section")
+        return pulse
+    if config is None or config.pulse is None:
+        raise ConfigError(f"{command} needs a [pulse] section or --pulse file")
+    return config.pulse
 
 
 def _pulse_to_ini(p: ChirpedPulseParams) -> str:
@@ -472,25 +440,18 @@ def _pulse_to_ini(p: ChirpedPulseParams) -> str:
 
 def cmd_eigensolve(config: RunConfig, out_dir: str, with_wavefunctions: bool = False) -> dict:
     out = _prepare_out(out_dir)
-    spec = _solve(config)
+    spec = solve_spectrum(config.grid, config.potential)
     sd = sdme_map(spec, config.dipole)
 
-    _write(out, "energies.csv", "level,energy_hartree\n" + "".join(
-        f"{v},{_fmt(e)}\n" for v, e in enumerate(spec.energies)
-    ))
-    _write(out, "sdme.csv", "".join(
-        ",".join(_fmt(x) for x in row) + "\n" for row in sd.values
-    ))
-    _write(out, "lifetimes.csv", "level,lifetime_s\n" + "".join(
-        f"{v},{_fmt(lifetime(spec, sd, v)) if math.isfinite(lifetime(spec, sd, v)) else 'inf'}\n"
-        for v in range(1, spec.bound_count)
-    ))
+    _write_csv(out, "energies.csv", ["level", "energy_hartree"], enumerate(spec.energies.tolist()))
+    _write_csv(out, "sdme.csv", None, sd.values.tolist())
+    # a level with no decay channel is written as 'inf'
+    _write_csv(out, "lifetimes.csv", ["level", "lifetime_s"],
+               ((v, lifetime(spec, sd, v)) for v in range(1, spec.bound_count)))
     if with_wavefunctions:
-        header = "r_bohr," + ",".join(f"psi_{v}" for v in range(spec.bound_count))
-        rows = np.column_stack([config.grid.points, spec.wavefunctions.T])
-        _write(out, "wavefunctions.csv", header + "\n" + "".join(
-            ",".join(_fmt(x) for x in row) + "\n" for row in rows
-        ))
+        _write_csv(out, "wavefunctions.csv",
+                   ["r_bohr"] + [f"psi_{v}" for v in range(spec.bound_count)],
+                   np.column_stack([config.grid.points, spec.wavefunctions.T]).tolist())
 
     summary = [
         f"bound_count = {spec.bound_count}",
@@ -506,39 +467,30 @@ def cmd_eigensolve(config: RunConfig, out_dir: str, with_wavefunctions: bool = F
     return {"bound_count": spec.bound_count, "out": out}
 
 
-def _timeseries_csv(rec, levels) -> str:
-    header = ["t_au", "t_ns", "field_au"] + [f"p_{v}" for v in levels]
-    header += ["total_bound", "norm", "dissociation"]
-    lines = [",".join(header)]
-    for k in range(len(rec.times)):
-        row = [rec.times[k], rec.times[k] * AU_TIME_S * 1e9, rec.field_values[k]]
-        row += list(rec.populations[k])
-        row += [rec.total_bound[k], rec.norm[k], rec.dissociation[k]]
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_propagate(config: RunConfig, out_dir: str, pulse_file: str | None = None) -> dict:
     out = _prepare_out(out_dir)
-    pulse = _pulse_from_file(pulse_file) if pulse_file else config.pulse
-    if pulse is None:
-        raise ConfigError("propagate needs a [pulse] section or --pulse file")
-    spec = _solve(config)
+    pulse = _resolve_pulse(config, pulse_file, "propagate")
+    spec = solve_spectrum(config.grid, config.potential)
     dt = config.dt or choose_time_step(
         config.grid, config.potential, config.dipole, config.cap, eps_max=pulse.eps0
     )
-    t_max = pulse.tau0 + 4.0 * pulse.tau
     psi0 = spec.wavefunctions[config.initial_level].astype(complex)
     state = WavefunctionState(psi=psi0, t=0.0, grid=config.grid)
 
     t0 = time.perf_counter()
     rec = propagate(
         state, pulse, config.potential, config.dipole, config.cap,
-        t_max=t_max, dt=dt, sample_stride=config.sample_stride, spectrum=spec,
+        t_max=duration(pulse), dt=dt, sample_stride=config.sample_stride, spectrum=spec,
     )
     wall = time.perf_counter() - t0
 
-    _write(out, "timeseries.csv", _timeseries_csv(rec, rec.levels))
+    _write_csv(
+        out, "timeseries.csv",
+        ["t_au", "t_ns", "field_au"] + [f"p_{v}" for v in rec.levels]
+        + ["total_bound", "norm", "dissociation"],
+        np.column_stack([rec.times, rec.times * AU_TIME_S * 1e9, rec.field_values,
+                         rec.populations, rec.total_bound, rec.norm, rec.dissociation]).tolist(),
+    )
     fin = rec.populations[-1]
     summary = [
         f"initial_level = {config.initial_level}",
@@ -572,7 +524,7 @@ def cmd_optimize(
     ranges = ga.ranges
     spec = None
     if ranges is None or not surrogate:
-        spec = _solve(config)
+        spec = solve_spectrum(config.grid, config.potential)
     if ranges is None:
         sd = sdme_map(spec, config.dipole)
         life_s = lifetime(spec, sd, config.initial_level)
@@ -633,12 +585,7 @@ def cmd_pulse_spectrum(
     n_points: int = 2000, with_fft: bool = False,
 ) -> dict:
     out = _prepare_out(out_dir)
-    if pulse_file:
-        pulse = _pulse_from_file(pulse_file)
-    elif config is not None and config.pulse is not None:
-        pulse = config.pulse
-    else:
-        raise ConfigError("pulse-spectrum needs a [pulse] section or --pulse file")
+    pulse = _resolve_pulse(config, pulse_file, "pulse-spectrum")
 
     sigma = bandwidth(pulse)
     lo = omega_min if omega_min is not None else max(pulse.omega0 - 4.0 * sigma, 0.0)
@@ -646,18 +593,15 @@ def cmd_pulse_spectrum(
     if not lo < hi:
         raise ConfigError(f"empty spectral range [{lo}, {hi}]")
     w = np.linspace(lo, hi, n_points)
-    intens = pulse_spectrum_values(pulse, w)
-    _write(out, "spectrum.csv", "omega_au,nu_hz,intensity\n" + "".join(
-        f"{_fmt(wi)},{_fmt(wi * AU_ANGFREQ_RAD_PER_S / (2 * math.pi))},{_fmt(ii)}\n"
-        for wi, ii in zip(w, intens)
-    ))
+    spectra = {"spectrum.csv": (w, pulse_spectrum_values(pulse, w))}
     if with_fft:
         freqs, power = fft_spectrum(pulse)
         keep = (freqs >= lo) & (freqs <= hi)
-        _write(out, "spectrum_fft.csv", "omega_au,nu_hz,intensity\n" + "".join(
-            f"{_fmt(wi)},{_fmt(wi * AU_ANGFREQ_RAD_PER_S / (2 * math.pi))},{_fmt(ii)}\n"
-            for wi, ii in zip(freqs[keep], power[keep])
-        ))
+        spectra["spectrum_fft.csv"] = (freqs[keep], power[keep])
+    for name, (w, intensity) in spectra.items():
+        nu = w * AU_ANGFREQ_RAD_PER_S / (2 * math.pi)
+        _write_csv(out, name, ["omega_au", "nu_hz", "intensity"],
+                   np.column_stack([w, nu, intensity]).tolist())
     if config is not None:
         _write_manifest(out, "pulse-spectrum", config, seed=None, threads=None)
     print(f"pulse-spectrum: peak at omega0 = {pulse.omega0:g} a.u. -> {out}")
@@ -678,8 +622,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to an INI run config")
         p.add_argument("--preset", help=f"built-in scenario: {', '.join(sorted(PRESETS))}")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, help="override the [ga] seed")
-        p.add_argument("--threads", type=int, default=1, help="parallel fitness evaluations")
 
     p = sub.add_parser("eigensolve", help="bound states, SDME map, lifetimes")
     common(p)
@@ -693,6 +635,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--surrogate", action="store_true",
                    help="closed-form test fitness instead of propagation")
+    p.add_argument("--seed", type=int, help="override the [ga] seed")
+    p.add_argument("--threads", type=int, default=1, help="parallel fitness evaluations")
 
     p = sub.add_parser("pulse-spectrum", help="optical spectrum of a pulse")
     common(p)

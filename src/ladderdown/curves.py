@@ -126,16 +126,6 @@ class TabulatedCurve:
         return out[()] if out.ndim == 0 else out
 
 
-def evaluate_potential(curve, r):
-    """V(r) in hartree for any potential model (analytic or tabulated)."""
-    return curve.value(r)
-
-
-def evaluate_dipole(curve, r):
-    """D(r) in e*bohr for any dipole model (analytic or tabulated)."""
-    return curve.value(r)
-
-
 def load_tabulated(path, kind: str = "potential") -> TabulatedCurve:
     """Read a two-column (r, value) text file into a TabulatedCurve.
 

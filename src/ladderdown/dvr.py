@@ -138,7 +138,9 @@ def solve_bound_states(
     The default threshold 0 is the dissociation limit of every shipped
     potential. Raises EmptySpectrumError when nothing is bound.
     """
-    energies, vecs = sla.eigh(h, subset_by_value=(-np.inf, threshold), driver="evr")
+    # h is symmetric, so h.T is the same matrix in the column-major order that
+    # LAPACK reads; eigh then copies it plainly instead of transposing it.
+    energies, vecs = sla.eigh(h.T, subset_by_value=(-np.inf, threshold), driver="evr")
     if len(energies) == 0:
         raise EmptySpectrumError(f"no eigenvalue below threshold {threshold}")
     psi = vecs.T / np.sqrt(grid.dr)
@@ -151,9 +153,9 @@ def solve_spectrum(grid: RadialGrid, potential, threshold: float = 0.0) -> Vibra
     return solve_bound_states(build_hamiltonian(grid, potential), grid, threshold)
 
 
-def sdme_map(spectrum: VibrationalSpectrum, dipole, grid: RadialGrid | None = None) -> SdmeMap:
+def sdme_map(spectrum: VibrationalSpectrum, dipole) -> SdmeMap:
     """|<v|D|v'>|^2 for all bound pairs, by grid quadrature."""
-    grid = grid or spectrum.grid
+    grid = spectrum.grid
     d = dipole.value(grid.points)
     psi = spectrum.wavefunctions
     elements = grid.dr * (psi * d) @ psi.T

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dvr import RadialGrid, VibrationalSpectrum
 from .propagator import CapSpec, PropagationBlowupError, WavefunctionState, propagate
-from .pulse import GENE_NAMES, ChirpedPulseParams, ParamRanges
+from .pulse import GENE_NAMES, ChirpedPulseParams, ParamRanges, duration
 
 
 @dataclass
@@ -90,9 +90,9 @@ class GaHistory:
 class LadderProblem:
     """Fitness through propagation: J = |<target|Psi(t_max)>|^2.
 
-    ``t_max`` per pulse is tau0 + horizon_widths*tau, covering the whole
-    envelope; ``dt`` is pinned by the caller (validated once per scenario
-    against the self-convergence criterion).
+    ``t_max`` per pulse is ``pulse.duration``, covering the whole envelope.
+    ``dt`` is pinned by the caller; nothing here or in the CLI checks its
+    convergence.
     """
 
     grid: RadialGrid
@@ -103,15 +103,13 @@ class LadderProblem:
     initial_level: int
     target_level: int
     dt: float
-    horizon_widths: float = 4.0
 
     def evaluate(self, params: ChirpedPulseParams) -> float:
         psi0 = self.spectrum.wavefunctions[self.initial_level].astype(complex)
         state = WavefunctionState(psi=psi0, t=0.0, grid=self.grid)
-        t_max = params.tau0 + self.horizon_widths * params.tau
         rec = propagate(
             state, params, self.potential, self.dipole, self.cap,
-            t_max=t_max, dt=self.dt, sample_stride=10**9,
+            t_max=duration(params), dt=self.dt, sample_stride=10**9,
         )
         target = self.spectrum.wavefunctions[self.target_level]
         j = abs(rec.final_state.overlap(target)) ** 2

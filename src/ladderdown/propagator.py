@@ -149,33 +149,26 @@ class SplitStepper:
             -1j * dipole.value(r) * dt if dipole is not None else np.zeros(grid.n_points)
         )
 
-    def _field_factors(self, eps_mid: np.ndarray) -> np.ndarray:
-        return np.exp(np.multiply.outer(eps_mid, self.dip_phase)) * self.pot_factor
-
-    # batch bound keeps the precomputed factor matrix small
-    _MAX_BATCH = 512
+    # field samples per block; bounds memory however long the horizon
+    _BLOCK = 512
 
     def run(self, psi: np.ndarray, t0: float, n_steps: int, field) -> np.ndarray:
         """Apply n_steps Strang steps starting at t0, merging inner kinetics."""
-        done = 0
-        while done < n_steps:
-            m = min(self._MAX_BATCH, n_steps - done)
-            psi = self._run_batch(psi, t0 + done * self.dt, m, field)
-            done += m
-        return psi
-
-    def _run_batch(self, psi: np.ndarray, t0: float, n_steps: int, field) -> np.ndarray:
-        t_mid = t0 + self.dt * (np.arange(n_steps) + 0.5)
-        eps_mid = (
-            np.zeros(n_steps) if field is None else np.asarray(field(t_mid), dtype=float)
-        )
-        factors = self._field_factors(eps_mid)
+        if n_steps < 1:
+            return psi
+        factor = np.empty_like(self.pot_factor)
         psi = sfft.ifft(self.kin_half * sfft.fft(psi))
-        for j in range(n_steps - 1):
-            psi *= factors[j]
-            psi = sfft.ifft(self.kin_full * sfft.fft(psi, overwrite_x=True), overwrite_x=True)
-        psi *= factors[n_steps - 1]
-        return sfft.ifft(self.kin_half * sfft.fft(psi, overwrite_x=True), overwrite_x=True)
+        for start in range(0, n_steps, self._BLOCK):
+            m = min(self._BLOCK, n_steps - start)
+            t_mid = (t0 + start * self.dt) + self.dt * (np.arange(m) + 0.5)
+            eps_mid = np.zeros(m) if field is None else np.asarray(field(t_mid), dtype=float)
+            for k, eps in enumerate(eps_mid, start):
+                np.exp(np.multiply(eps, self.dip_phase, out=factor), out=factor)
+                factor *= self.pot_factor
+                psi *= factor
+                kin = self.kin_half if k == n_steps - 1 else self.kin_full
+                psi = sfft.ifft(kin * sfft.fft(psi, overwrite_x=True), overwrite_x=True)
+        return psi
 
 
 def step(

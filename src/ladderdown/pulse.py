@@ -119,9 +119,9 @@ def as_field(p: ChirpedPulseParams):
     return lambda t: amplitude(p, t)
 
 
-def duration(p: ChirpedPulseParams, n_widths: float = 4.0) -> float:
-    """Default propagation horizon covering the pulse: tau0 + n_widths*tau."""
-    return p.tau0 + n_widths * p.tau
+def duration(p: ChirpedPulseParams) -> float:
+    """Propagation horizon covering the pulse: tau0 + 4*tau."""
+    return p.tau0 + 4.0 * p.tau
 
 
 def fft_spectrum(p: ChirpedPulseParams, n_widths: float = 8.0, oversample: int = 8,

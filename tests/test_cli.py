@@ -1,11 +1,14 @@
+import configparser
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from ladderdown.cli import (
     ConfigError,
+    GaSettings,
     PRESETS,
     cmd_eigensolve,
     cmd_optimize,
@@ -73,6 +76,15 @@ class TestConfigParsing:
         text = PRESETS["old20"].replace("eps0_range = 1.0e-3, 1.0e-2\n", "")
         with pytest.raises(ConfigError, match="eps0"):
             parse_config(text)
+
+    def test_presets_set_no_ga_key_to_its_default(self):
+        defaults = {f.name: f.default for f in fields(GaSettings)[1:]}
+        for name, text in PRESETS.items():
+            cp = configparser.ConfigParser()
+            cp.read_string(text)
+            for key, raw in cp["ga"].items():
+                if key in defaults:
+                    assert type(defaults[key])(raw) != defaults[key], (name, key)
 
     def test_presets_all_parse(self):
         for name in PRESETS:
@@ -307,6 +319,14 @@ class TestPulseSpectrum:
         with pytest.raises(ConfigError, match="empty"):
             cmd_pulse_spectrum(config, str(tmp_path / "e"),
                                omega_min=2e-5, omega_max=1e-5)
+
+    def test_seed_and_threads_belong_to_optimize_only(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eigensolve", "--preset", "desk", "--out", str(tmp_path / "x"),
+                  "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_cli_error_paths_return_nonzero(self, tmp_path, capsys):
         rc = main(["eigensolve", "--preset", "nope", "--out", str(tmp_path / "x")])

@@ -13,8 +13,6 @@ from ladderdown.curves import (
     InsufficientDataError,
     MorsePotential,
     TabulatedCurve,
-    evaluate_dipole,
-    evaluate_potential,
     krb_standin_potential,
     load_tabulated,
 )
@@ -23,17 +21,17 @@ from ladderdown.curves import (
 class TestMorse:
     def test_minimum_is_exactly_minus_de(self):
         m = MorsePotential(de=0.1, re=2.0, a=1.5)
-        assert evaluate_potential(m, 2.0) == -0.1
+        assert m.value(2.0) == -0.1
 
     def test_asymptotic_limit(self):
         m = MorsePotential(de=0.1, re=2.0, a=1.5)
-        assert abs(evaluate_potential(m, 200.0)) < 0.1 * 1e-8
+        assert abs(m.value(200.0)) < 0.1 * 1e-8
 
     def test_hand_evaluated_point(self):
         # de*(1 - exp(-0.5))^2 - de at r = 8, one width past re = 7
         m = MorsePotential(de=0.001, re=7.0, a=0.5)
         expected = 0.001 * (1.0 - math.exp(-0.5)) ** 2 - 0.001
-        assert evaluate_potential(m, 8.0) == pytest.approx(expected, rel=1e-14)
+        assert m.value(8.0) == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("bad", [
         dict(de=-0.1, re=2.0, a=1.0),
@@ -48,33 +46,33 @@ class TestMorse:
     @settings(max_examples=50, deadline=None)
     def test_evaluation_is_pure(self, r):
         m = MorsePotential(de=0.01, re=5.0, a=0.7)
-        assert evaluate_potential(m, r) == evaluate_potential(m, r)
+        assert m.value(r) == m.value(r)
 
     def test_vectorized_matches_scalar(self):
         m = krb_standin_potential()
         rs = np.linspace(5.0, 40.0, 17)
-        vec = evaluate_potential(m, rs)
-        assert vec == pytest.approx([evaluate_potential(m, r) for r in rs])
+        vec = m.value(rs)
+        assert vec == pytest.approx([m.value(r) for r in rs])
 
 
 class TestDipole:
     def test_zero_at_origin(self):
         d = ExpRampDipole(d0=1.0, rd=8.0, p=4.0)
-        assert evaluate_dipole(d, 0.0) == 0.0
+        assert d.value(0.0) == 0.0
 
     def test_decays_at_large_r(self):
         d = ExpRampDipole(d0=1.0, rd=8.0, p=4.0)
-        assert abs(evaluate_dipole(d, 200.0)) < 1e-100
+        assert abs(d.value(200.0)) < 1e-100
 
     def test_value_at_scale_radius(self):
         # linear prefactor 1, exponential exp(-1)
         d = ExpRampDipole(d0=1.0, rd=8.0, p=4.0)
-        assert evaluate_dipole(d, 8.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert d.value(8.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_single_interior_maximum(self):
         d = ExpRampDipole(d0=0.5, rd=28.0, p=2.0)
         r = np.linspace(0.0, 200.0, 20001)
-        v = evaluate_dipole(d, r)
+        v = d.value(r)
         grad_sign = np.sign(np.diff(v))
         flips = np.nonzero(np.diff(grad_sign) != 0)[0]
         assert len(flips) == 1
@@ -91,12 +89,12 @@ class TestTabulated:
         path = self._write(tmp_path, ["1 -1", "2 -2", "3 -3", "4 -4"])
         curve = load_tabulated(path, kind="potential")
         for r, v in [(1, -1.0), (2, -2.0), (3, -3.0), (4, -4.0)]:
-            assert float(evaluate_potential(curve, float(r))) == v
+            assert float(curve.value(float(r))) == v
 
     def test_linear_data_interpolates_linearly(self, tmp_path):
         path = self._write(tmp_path, ["1 -1", "2 -2", "3 -3", "4 -4"])
         curve = load_tabulated(path)
-        assert evaluate_potential(curve, 2.5) == pytest.approx(-2.5, abs=1e-12)
+        assert curve.value(2.5) == pytest.approx(-2.5, abs=1e-12)
 
     def test_out_of_order_rows_rejected(self, tmp_path):
         path = self._write(tmp_path, ["1 -1", "3 -3", "2 -2", "4 -4"])
@@ -126,15 +124,15 @@ class TestTabulated:
             ["# a comment", "1, -1", "2 -2  # inline", "3,-3", "4 -4"],
         )
         curve = load_tabulated(path, kind="dipole")
-        assert float(evaluate_dipole(curve, 3.0)) == -3.0
+        assert float(curve.value(3.0)) == -3.0
 
     def test_extrapolation_refused(self, tmp_path):
         path = self._write(tmp_path, ["1 -1", "2 -2", "3 -3", "4 -4"])
         curve = load_tabulated(path)
         with pytest.raises(ExtrapolationError):
-            evaluate_potential(curve, 4.5)
+            curve.value(4.5)
         with pytest.raises(ExtrapolationError):
-            evaluate_potential(curve, np.array([1.5, 0.5]))
+            curve.value(np.array([1.5, 0.5]))
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = self._write(tmp_path, ["1 -1", "2 -2", "3 -3", "4 -4"])

@@ -17,7 +17,7 @@ from ladderdown.propagator import (
     refine_time_step,
     step,
 )
-from ladderdown.pulse import ChirpedPulseParams
+from ladderdown.pulse import ChirpedPulseParams, as_field
 from oracles import HarmonicPotential, LinearDipole, ZeroPotential, gaussian_packet
 
 
@@ -105,6 +105,26 @@ class TestEigenstateEvolution:
                         sample_stride=1000, spectrum=spectrum)
         assert rec.steps == 10_000
         assert np.max(np.abs(rec.norm - 1.0)) < 1e-10
+
+
+class TestStepperRun:
+    def test_split_run_matches_one_run_across_field_blocks(self, harmonic_system):
+        # 1300 steps span three field blocks; a restart at step 700 must pick
+        # the field up at t0 + 700*dt and land on the same state
+        grid, pot, dip, _ = harmonic_system
+        cap = CapSpec(r0=13.0, eta=1e-2)
+        field = as_field(ChirpedPulseParams(eps0=0.5, omega0=1.0, tau0=6.0, tau=3.0, chirp=0.05))
+        dt, t0 = 1e-2, 0.3
+        stepper = SplitStepper(grid, pot, dip, cap, dt)
+        psi0 = gaussian_packet(grid.points, 10.0, 0.7, k0=4.0)
+        whole = stepper.run(psi0.copy(), t0, 1300, field)
+        first = stepper.run(psi0.copy(), t0, 700, field)
+        split = stepper.run(first, t0 + 700 * dt, 600, field)
+        assert np.max(np.abs(whole - split)) < 1e-12
+        # the check is sharp: a one-step field offset or a missing absorber shows
+        shifted = stepper.run(first, t0 + 701 * dt, 600, field)
+        assert np.max(np.abs(whole - shifted)) > 1e-6
+        assert grid.dr * np.sum(np.abs(whole) ** 2) < 1.0 - 1e-3
 
 
 class TestStrangOrder:
