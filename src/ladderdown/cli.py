@@ -221,6 +221,14 @@ class GaSettings:
     seed: int = 1
     tau_span: float = 10.0
 
+    def ga_config(self, ranges: ParamRanges | None, seed: int) -> GaConfig:
+        """These settings as a GaConfig; raises ValueError where GaConfig's checks fail."""
+        return GaConfig(
+            ranges=ranges, population_size=self.population, generations=self.generations,
+            elite_count=self.elites, crossover_prob=self.crossover_prob,
+            mutation_prob=self.mutation_prob, rng_seed=seed,
+        )
+
 
 @dataclass
 class RunConfig:
@@ -254,6 +262,14 @@ def _get(cp, section, key, cast, default=_REQUIRED):
         ) from None
 
 
+def _build(section: str, make, *args, **kwargs):
+    """make(...), with a value that fails its checks reported as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
 def _parse_pair(raw: str) -> tuple[float, float]:
     parts = raw.replace(",", " ").split()
     if len(parts) != 2:
@@ -277,13 +293,15 @@ def _read_ini(text: str) -> configparser.ConfigParser:
 def _parse_pulse(cp: configparser.ConfigParser) -> ChirpedPulseParams | None:
     if not cp.has_section("pulse"):
         return None
-    return ChirpedPulseParams(**{k: _get(cp, "pulse", k, float) for k in GENE_NAMES})
+    return _build("pulse", ChirpedPulseParams,
+                  **{k: _get(cp, "pulse", k, float) for k in GENE_NAMES})
 
 
 def parse_config(text: str) -> RunConfig:
     cp = _read_ini(text)
 
-    grid = RadialGrid(
+    grid = _build(
+        "grid", RadialGrid,
         r_min=_get(cp, "grid", "r_min", float),
         r_max=_get(cp, "grid", "r_max", float),
         n_points=_get(cp, "grid", "n_points", int),
@@ -294,7 +312,8 @@ def parse_config(text: str) -> RunConfig:
     if cp.has_option("potential", "file"):
         potential = load_tabulated(_get(cp, "potential", "file", str), kind="potential")
     elif model == "morse":
-        potential = MorsePotential(
+        potential = _build(
+            "potential", MorsePotential,
             de=_get(cp, "potential", "de", float),
             re=_get(cp, "potential", "re", float),
             a=_get(cp, "potential", "a", float),
@@ -308,7 +327,8 @@ def parse_config(text: str) -> RunConfig:
         dmodel = _get(cp, "dipole", "model", str, "ramp").strip().lower()
         if dmodel != "ramp":
             raise ConfigError(f"[dipole] model: unknown model {dmodel!r}")
-        dipole = ExpRampDipole(
+        dipole = _build(
+            "dipole", ExpRampDipole,
             d0=_get(cp, "dipole", "d0", float),
             rd=_get(cp, "dipole", "rd", float),
             p=_get(cp, "dipole", "p", float, 4.0),
@@ -316,7 +336,8 @@ def parse_config(text: str) -> RunConfig:
 
     cap = None
     if cp.has_section("cap"):
-        cap = CapSpec(r0=_get(cp, "cap", "r0", float), eta=_get(cp, "cap", "eta", float))
+        cap = _build("cap", CapSpec, r0=_get(cp, "cap", "r0", float),
+                     eta=_get(cp, "cap", "eta", float))
 
     initial = _get(cp, "levels", "initial", int)
     target = _get(cp, "levels", "target", int)
@@ -336,7 +357,7 @@ def parse_config(text: str) -> RunConfig:
             name: _get(cp, "ga", f"{name}_range", _parse_pair, None) for name in GENE_NAMES
         }
         if all(v is not None for v in explicit.values()):
-            ranges = ParamRanges(**explicit)
+            ranges = _build("ga", ParamRanges, **explicit)
         elif any(v is not None for v in explicit.values()):
             missing = [k for k, v in explicit.items() if v is None]
             raise ConfigError(f"[ga]: incomplete explicit ranges, missing {missing}")
@@ -346,6 +367,7 @@ def parse_config(text: str) -> RunConfig:
             f.name: _get(cp, "ga", f.name, type(f.default), f.default)
             for f in fields(GaSettings)[1:]
         })
+        _build("ga", ga.ga_config, ranges, ga.seed)  # GaConfig's checks, before any solve
 
     return RunConfig(
         grid=grid,
@@ -546,12 +568,10 @@ def cmd_optimize(
             target_level=config.target_level, dt=dt,
         )
 
-    cfg = GaConfig(
-        ranges=ranges, population_size=ga.population, generations=ga.generations,
-        elite_count=ga.elites, crossover_prob=ga.crossover_prob,
-        mutation_prob=ga.mutation_prob, rng_seed=used_seed,
-    )
+    cfg = ga.ga_config(ranges, used_seed)
     best, history = optimize(cfg, problem, threads=threads)
+    if not surrogate:
+        problem.drop_stepper()  # whoever keeps the problem need not keep its basis
 
     _write(out, "history.csv", history.to_csv())
     _write(out, "best_pulse.cfg", _pulse_to_ini(best.params))

@@ -13,14 +13,22 @@ fitness evaluations are parallelized.
 
 from __future__ import annotations
 
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
-from .dvr import RadialGrid, VibrationalSpectrum
-from .propagator import CapSpec, PropagationBlowupError, WavefunctionState, propagate
+from .dvr import RadialGrid, VibrationalSpectrum, solve_spectrum
+from .propagator import (
+    CapSpec,
+    EigenStepper,
+    PropagationBlowupError,
+    WavefunctionState,
+    propagate,
+)
 from .pulse import GENE_NAMES, ChirpedPulseParams, ParamRanges, duration
 
 
@@ -91,6 +99,10 @@ class LadderProblem:
     """Fitness through propagation: J = |<target|Psi(t_max)>|^2.
 
     ``t_max`` per pulse is ``pulse.duration``, covering the whole envelope.
+    The steps are Strang steps exp(-i H dt/2) exp(-i eps D dt) exp(-i H dt/2)
+    in the eigenbasis of H0 below ``ecut`` = -E_0, the well depth measured
+    from the dissociation limit, with H = H0 + CAP projected on that basis
+    (``propagator.EigenStepper``). The overlap is taken on the grid.
     ``dt`` is pinned by the caller; nothing here or in the CLI checks its
     convergence.
     """
@@ -104,12 +116,28 @@ class LadderProblem:
     target_level: int
     dt: float
 
+    @cached_property
+    def stepper(self) -> EigenStepper:
+        """The eigenbasis stepper, built at the first score and kept."""
+        ecut = -float(self.spectrum.energies[0])
+        basis = solve_spectrum(self.grid, self.potential, threshold=ecut)
+        return EigenStepper(basis, self.dipole, self.cap, self.dt)
+
+    def drop_stepper(self):
+        """Free the stepper's basis; a later score builds it again."""
+        self.__dict__.pop("stepper", None)
+
+    def __getstate__(self):
+        # pickled with the stepper, so no worker process repeats the eigensolve
+        return {**self.__dict__, "stepper": self.stepper}
+
     def evaluate(self, params: ChirpedPulseParams) -> float:
         psi0 = self.spectrum.wavefunctions[self.initial_level].astype(complex)
         state = WavefunctionState(psi=psi0, t=0.0, grid=self.grid)
         rec = propagate(
             state, params, self.potential, self.dipole, self.cap,
             t_max=duration(params), dt=self.dt, sample_stride=10**9,
+            stepper=self.stepper,
         )
         target = self.spectrum.wavefunctions[self.target_level]
         j = abs(rec.final_state.overlap(target)) ** 2
@@ -156,17 +184,25 @@ def evaluate_fitness(individual: Individual, problem) -> float:
     return j
 
 
-def _evaluate_population(population: list[Individual], problem, history: GaHistory,
-                         threads: int = 1):
+# set once in each worker process of optimize's pool, by _init_worker
+_worker_problem = None
+
+
+def _init_worker(problem):
+    global _worker_problem
+    _worker_problem = problem
+
+
+def _worker_evaluate(genes) -> tuple[float, bool]:
+    return _safe_evaluate(_worker_problem, genes)
+
+
+def _evaluate_population(population: list[Individual], score, history: GaHistory):
+    """Score the unevaluated individuals; ``score`` maps a list of genes to results."""
     todo = [i for i, ind in enumerate(population) if ind.fitness is None]
     if not todo:
         return
-    genes = [population[i].params.as_array() for i in todo]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(partial(_safe_evaluate, problem), genes))
-    else:
-        results = [_safe_evaluate(problem, g) for g in genes]
+    results = score([population[i].params.as_array() for i in todo])
     for i, (j, failed) in zip(todo, results):
         population[i].fitness = j
         population[i].failed = failed
@@ -265,16 +301,26 @@ def optimize(cfg: GaConfig, problem, threads: int = 1) -> tuple[Individual, GaHi
     """Run the full optimization cycle and return the best-ever individual.
 
     Deterministic for a fixed config seed: evaluations never touch the
-    random stream, so the thread count cannot change the outcome.
+    random stream, so the thread count cannot change the outcome. With
+    threads > 1 one pool of worker processes serves the whole run; each
+    worker receives the problem once, when it starts.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     history = GaHistory()
-    population = _draw_population(cfg.ranges, cfg.population_size, rng)
-    _evaluate_population(population, problem, history, threads)
-    history.record(population)
-    for _ in range(cfg.generations - 1):
-        population = evolve_generation(population, cfg, rng, history)
-        _evaluate_population(population, problem, history, threads)
+    with ExitStack() as stack:
+        score = partial(map, partial(_safe_evaluate, problem))
+        if threads > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=threads, mp_context=multiprocessing.get_context("spawn"),
+                initializer=_init_worker, initargs=(problem,),
+            ))
+            score = partial(pool.map, _worker_evaluate)
+        population = _draw_population(cfg.ranges, cfg.population_size, rng)
+        _evaluate_population(population, score, history)
         history.record(population)
+        for _ in range(cfg.generations - 1):
+            population = evolve_generation(population, cfg, rng, history)
+            _evaluate_population(population, score, history)
+            history.record(population)
     best = max(population, key=lambda ind: ind.fitness)
     return replace(best), history

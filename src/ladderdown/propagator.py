@@ -1,15 +1,30 @@
 """Time propagation of the nuclear wavefunction under a driving field.
 
-One step advances the state by the symmetric split
+Two steppers share one interface, ``run(psi, t0, n_steps, field)``, which
+applies Strang steps to a grid wavefunction with the field sampled at the
+step midpoints tmid = t + dt/2 (split-operator schemes after Kosloff,
+J. Phys. Chem. 92, 2087 (1988); the absorber after Riss & Meyer,
+J. Phys. B 26, 4503 (1993)).
+
+``SplitStepper`` works on the grid, with the symmetric split
 
     psi(t + dt) = exp(-i T dt/2) exp(-i W(tmid) dt) exp(-i T dt/2) psi(t)
 
-with W(t) = V(R) + eps(t) D(R) + V_cap(R) evaluated at the midpoint
-tmid = t + dt/2. The kinetic factors act in momentum space through FFTs on
-the periodic grid; the complex absorbing potential lives inside W, so each
-step stays exactly norm-non-increasing. Between observable samples the
-inner half-kinetic factors of consecutive steps are merged, which halves
-the FFT count without changing the factorization.
+and W(t) = V(R) + eps(t) D(R) + V_cap(R). The kinetic factors act in
+momentum space through FFTs on the periodic grid; the complex absorbing
+potential lives inside W, so each step stays exactly norm-non-increasing.
+It is the production ``propagate`` path and the oracle for the other one.
+
+``EigenStepper`` works in the eigenbasis of H0 = T + V below a cutoff
+energy ``ecut``, with the split
+
+    c(t + dt) = exp(-i H dt/2) exp(-i eps(tmid) D dt) exp(-i H dt/2) c(t)
+
+and H = H0 + V_cap, both projected on that basis. The genetic algorithm
+scores pulses with it, taking the well depth as ``ecut``.
+
+Both merge the inner half steps of consecutive steps between observable
+samples, which halves their cost without changing the factorization.
 """
 
 from __future__ import annotations
@@ -19,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
+import scipy.linalg as sla
 
 from .dvr import RadialGrid, VibrationalSpectrum
 from .pulse import ChirpedPulseParams, as_field
@@ -124,16 +140,32 @@ class PropagationRecord:
     dt: float
 
 
+def _check_stepper(grid: RadialGrid, cap: CapSpec | None, dt: float):
+    if dt == 0:
+        raise ValueError("time step must be nonzero")
+    if cap is not None and not grid.r_min < cap.r0 < grid.r_max:
+        raise ValueError(
+            f"CAP onset {cap.r0} must lie inside the grid ({grid.r_min}, {grid.r_max})"
+        )
+
+
+# field samples per block; bounds memory however long the horizon
+_BLOCK = 512
+
+
+def _midpoint_fields(field, t0: float, dt: float, n_steps: int):
+    """Yield (index of the block's first step, eps at its steps' midpoints)."""
+    for start in range(0, n_steps, _BLOCK):
+        m = min(_BLOCK, n_steps - start)
+        t_mid = (t0 + start * dt) + dt * (np.arange(m) + 0.5)
+        yield start, np.zeros(m) if field is None else np.asarray(field(t_mid), dtype=float)
+
+
 class SplitStepper:
     """Precomputed split-operator factors for one (grid, curves, cap, dt)."""
 
     def __init__(self, grid: RadialGrid, potential, dipole, cap: CapSpec | None, dt: float):
-        if dt == 0:
-            raise ValueError("time step must be nonzero")
-        if cap is not None and not grid.r_min < cap.r0 < grid.r_max:
-            raise ValueError(
-                f"CAP onset {cap.r0} must lie inside the grid ({grid.r_min}, {grid.r_max})"
-            )
+        _check_stepper(grid, cap, dt)
         self.grid = grid
         self.dt = dt
         r = grid.points
@@ -149,19 +181,13 @@ class SplitStepper:
             -1j * dipole.value(r) * dt if dipole is not None else np.zeros(grid.n_points)
         )
 
-    # field samples per block; bounds memory however long the horizon
-    _BLOCK = 512
-
     def run(self, psi: np.ndarray, t0: float, n_steps: int, field) -> np.ndarray:
         """Apply n_steps Strang steps starting at t0, merging inner kinetics."""
         if n_steps < 1:
             return psi
         factor = np.empty_like(self.pot_factor)
         psi = sfft.ifft(self.kin_half * sfft.fft(psi))
-        for start in range(0, n_steps, self._BLOCK):
-            m = min(self._BLOCK, n_steps - start)
-            t_mid = (t0 + start * self.dt) + self.dt * (np.arange(m) + 0.5)
-            eps_mid = np.zeros(m) if field is None else np.asarray(field(t_mid), dtype=float)
+        for start, eps_mid in _midpoint_fields(field, t0, self.dt, n_steps):
             for k, eps in enumerate(eps_mid, start):
                 np.exp(np.multiply(eps, self.dip_phase, out=factor), out=factor)
                 factor *= self.pot_factor
@@ -169,6 +195,68 @@ class SplitStepper:
                 kin = self.kin_half if k == n_steps - 1 else self.kin_full
                 psi = sfft.ifft(kin * sfft.fft(psi, overwrite_x=True), overwrite_x=True)
         return psi
+
+
+class EigenStepper:
+    """Strang steps in the eigenbasis of H0 below a cutoff, absorber included.
+
+    ``basis`` holds the K real eigenstates of H0 = T + V below the cutoff
+    ``ecut``, as ``dvr.solve_spectrum(grid, potential, threshold=ecut)``
+    returns them. ``run`` projects the grid wavefunction on them,
+    c = dr Phi psi, advances c by
+
+        c(t + dt) = exp(-i H dt/2) exp(-i eps(tmid) D dt) exp(-i H dt/2) c(t)
+
+    with H = diag(E) + CAP_K and D = D_K, and maps it back, psi = Phi^T c.
+    Whatever part of psi lies above the cutoff is dropped. The GA's
+    ``LadderProblem`` cuts at the well depth, ``ecut`` = -E_0.
+
+    The half step exp(-i H dt/2) is formed once with ``expm``. H is complex
+    symmetric, and diagonalizing it with ``eig`` instead gives
+    ill-conditioned eigenvectors with which a run overflows. The real
+    D = U diag(lam) U^T comes from ``eigh``, so in U's frame a step costs K
+    phase factors and one K x K matvec, with the inner half steps of
+    consecutive steps merged into U^T exp(-i H dt) U. Since -i CAP_K is
+    negative semidefinite, no step increases the norm beyond rounding.
+    """
+
+    def __init__(self, basis: VibrationalSpectrum, dipole, cap: CapSpec | None, dt: float):
+        grid = basis.grid
+        _check_stepper(grid, cap, dt)
+        self.grid = grid
+        self.dt = dt
+        phi = basis.wavefunctions
+        r = grid.points
+        h = np.diag(basis.energies).astype(complex)
+        if cap is not None:
+            out = slice(np.searchsorted(r, cap.r0, side="right"), None)  # r > r0, as a view
+            h += 1j * grid.dr * (phi[:, out] * cap_value(cap, r[out]).imag) @ phi[:, out].T
+        d = grid.dr * (phi * dipole.value(r)) @ phi.T
+        # divide and conquer (evd) keeps U orthogonal to rounding; the 1e-13
+        # error of the default MRRR (evr) would raise the norm at every step
+        lam, u = sla.eigh(0.5 * (d + d.T), driver="evd")
+        self.dip_phase = -1j * dt * lam
+        # everything is kept in U's frame: the basis rows U^T Phi, the half step
+        # U^T exp(-i H dt/2) U and the merged full step, its square
+        self.half = u.T @ sla.expm(-0.5j * dt * h) @ u
+        self.full = self.half @ self.half
+        self.phi = u.T @ phi
+
+    def run(self, psi: np.ndarray, t0: float, n_steps: int, field) -> np.ndarray:
+        """Apply n_steps Strang steps starting at t0, merging inner half steps."""
+        if n_steps < 1:
+            return psi
+        # real @ complex would copy the real basis to complex; split instead
+        c = self.grid.dr * (self.phi @ psi.real + 1j * (self.phi @ psi.imag))
+        c = self.half @ c
+        buf = np.empty_like(c)
+        phase = np.empty_like(c)
+        for start, eps_mid in _midpoint_fields(field, t0, self.dt, n_steps):
+            for k, eps in enumerate(eps_mid, start):
+                c *= np.exp(np.multiply(eps, self.dip_phase, out=phase), out=phase)
+                np.matmul(self.half if k == n_steps - 1 else self.full, c, out=buf)
+                c, buf = buf, c
+        return self.phi.T @ c.real + 1j * (self.phi.T @ c.imag)
 
 
 def step(
@@ -203,13 +291,16 @@ def propagate(
     sample_stride: int = 1,
     spectrum: VibrationalSpectrum | None = None,
     levels=None,
+    stepper: SplitStepper | EigenStepper | None = None,
 ) -> PropagationRecord:
     """Propagate until t >= t_max, sampling observables along the way.
 
     Observables are recorded at the start, every ``sample_stride`` steps,
     and at the final step. Populations require ``spectrum``; ``levels``
-    selects which of its bound levels to record (default all). Raises
-    PropagationBlowupError if the norm goes non-finite.
+    selects which of its bound levels to record (default all). The steps
+    are taken by ``stepper`` when given (its dt must equal ``dt``; the
+    curves and cap arguments are then unused), else by a SplitStepper.
+    Raises PropagationBlowupError if the norm goes non-finite.
     """
     if dt <= 0:
         raise ValueError("propagation requires dt > 0")
@@ -217,7 +308,10 @@ def propagate(
         raise ValueError("sample_stride must be >= 1")
     if isinstance(field, ChirpedPulseParams):
         field = as_field(field)
-    stepper = SplitStepper(state.grid, potential, dipole, cap, dt)
+    if stepper is None:
+        stepper = SplitStepper(state.grid, potential, dipole, cap, dt)
+    elif stepper.dt != dt:
+        raise ValueError(f"stepper dt {stepper.dt} differs from propagation dt {dt}")
     n_steps = max(1, math.ceil((t_max - state.t) / dt - 1e-12))
 
     if levels is None and spectrum is not None:

@@ -332,3 +332,27 @@ class TestPulseSpectrum:
         rc = main(["eigensolve", "--preset", "nope", "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "unknown preset" in capsys.readouterr().err
+
+    def test_invalid_pulse_file_value_is_a_one_line_error(self, tmp_path, capsys):
+        pulse = tmp_path / "bad_pulse.cfg"
+        pulse.write_text(TINY_PULSE.replace("eps0 = 1e-30", "eps0 = -1e-3"))
+        rc = main(["pulse-spectrum", "--preset", "old20", "--pulse", str(pulse),
+                   "--out", str(tmp_path / "s")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [pulse] ") and err.count("\n") == 1
+
+    def test_more_elites_than_population_is_a_one_line_error(self, tmp_path, capsys):
+        config = tmp_path / "bad_ga.ini"
+        config.write_text(PRESETS["desk"].replace("population = 12", "population = 4")
+                          .replace("elites = 2", "elites = 5"))
+        rc = main(["optimize", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [ga] ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("old, new", [("n_points = 1024", "n_points = 8"),
+                                          ("eta = 5e-6", "eta = -5e-6")])
+    def test_invalid_config_value_is_a_config_error(self, old, new):
+        with pytest.raises(ConfigError):
+            parse_config(PRESETS["desk"].replace(old, new))

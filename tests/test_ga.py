@@ -1,8 +1,10 @@
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from ladderdown.constants import MU_K39RB87
 from ladderdown.curves import MorsePotential
 from ladderdown.dvr import RadialGrid, solve_spectrum
 from ladderdown.ga import (
@@ -17,7 +19,7 @@ from ladderdown.ga import (
     random_params,
     roulette_pick,
 )
-from ladderdown.propagator import PropagationBlowupError
+from ladderdown.propagator import CapSpec, PropagationBlowupError
 from ladderdown.pulse import ChirpedPulseParams, ParamRanges
 from oracles import LinearDipole
 
@@ -108,6 +110,14 @@ class TestEvaluateFitness:
         j1 = evaluate_fitness(ind, toy_ladder_problem)
         j2 = evaluate_fitness(ind, toy_ladder_problem)
         assert abs(j1 - j2) < 1e-12
+
+    def test_dropped_stepper_is_rebuilt_to_the_same_score(self, toy_ladder_problem):
+        params = ChirpedPulseParams(eps0=0.004, omega0=0.08, tau0=300.0, tau=100.0,
+                                    chirp=1e-8)
+        j1 = toy_ladder_problem.evaluate(params)
+        toy_ladder_problem.drop_stepper()
+        assert "stepper" not in vars(toy_ladder_problem)
+        assert toy_ladder_problem.evaluate(params) == j1
 
     def test_blowup_degrades_to_zero_and_flags(self):
         ind = Individual(params=ChirpedPulseParams(
@@ -233,6 +243,26 @@ class TestOptimize:
                        elite_count=2, rng_seed=8)
         _, serial = optimize(cfg, surrogate, threads=1)
         _, parallel = optimize(cfg, surrogate, threads=2)
+        assert serial.to_csv() == parallel.to_csv()
+
+    def test_parallel_ladder_run_matches_serial(self, standin_potential, standin_dipole):
+        # a real propagation problem; workers get the stepper built here
+        grid = RadialGrid(r_min=8.0, r_max=68.0, n_points=256, mu=MU_K39RB87)
+        spectrum = solve_spectrum(grid, standin_potential)
+        problem = LadderProblem(
+            grid=grid, potential=standin_potential, dipole=standin_dipole,
+            cap=CapSpec(r0=48.0, eta=5e-6), spectrum=spectrum, initial_level=8,
+            target_level=6, dt=40.0,
+        )
+        gap = float(spectrum.energies[8] - spectrum.energies[6])
+        ranges = ParamRanges(eps0=(1e-3, 5e-3), omega0=(0.8 * gap, 1.2 * gap),
+                             tau0=(2e4, 4e4), tau=(5e3, 1e4), chirp=(1e-11, 1e-10))
+        cfg = GaConfig(ranges=ranges, population_size=4, generations=2, elite_count=1,
+                       rng_seed=3)
+        _, serial = optimize(cfg, problem, threads=1)
+        assert "stepper" in pickle.loads(pickle.dumps(problem)).__dict__
+        _, parallel = optimize(cfg, problem, threads=2)
+        assert max(serial.best_fitness) > 1e-3
         assert serial.to_csv() == parallel.to_csv()
 
     def test_blowups_never_abort_the_run(self):

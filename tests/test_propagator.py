@@ -7,6 +7,7 @@ from ladderdown.curves import MorsePotential
 from ladderdown.dvr import RadialGrid, build_hamiltonian, sdme_map, solve_bound_states, solve_spectrum
 from ladderdown.propagator import (
     CapSpec,
+    EigenStepper,
     PropagationBlowupError,
     SplitStepper,
     WavefunctionState,
@@ -348,3 +349,83 @@ class TestTimeStepSelection:
         rec_b = propagate(state, field, pot, dip, None, t_max=200.0, dt=dt / 2,
                           sample_stride=10**9, spectrum=spectrum)
         assert np.max(np.abs(rec_a.populations[-1] - rec_b.populations[-1])) < 1e-6
+
+
+@pytest.fixture(scope="module")
+def desk_eigen(desk_grid, desk_spectrum, standin_potential, standin_dipole):
+    """Desk system with the CAP on, a short chirped pulse and its eigenbasis stepper."""
+    cap = CapSpec(r0=48.0, eta=5e-6)
+    e = desk_spectrum.energies
+    pulse = ChirpedPulseParams(eps0=3e-3, omega0=float(e[8] - e[6]), tau0=3e4, tau=8e3,
+                               chirp=1e-10)
+    basis = solve_spectrum(desk_grid, standin_potential, threshold=-e[0])
+    stepper = EigenStepper(basis, standin_dipole, cap, 40.0)
+    state = WavefunctionState(psi=desk_spectrum.wavefunctions[8].astype(complex), t=0.0,
+                              grid=desk_grid)
+    return cap, pulse, stepper, state
+
+
+class TestEigenStepper:
+    def propagate_pulse(self, desk_eigen, potential, dipole, spectrum, dt, stepper=None):
+        cap, pulse, _, state = desk_eigen
+        return propagate(state, pulse, potential, dipole, cap, t_max=pulse.tau0 + 4 * pulse.tau,
+                         dt=dt, sample_stride=10**9, spectrum=spectrum, stepper=stepper)
+
+    def test_matches_grid_oracle_at_desk_scale(self, desk_eigen, desk_spectrum,
+                                               standin_potential, standin_dipole):
+        eigen = self.propagate_pulse(desk_eigen, standin_potential, standin_dipole,
+                                     desk_spectrum, 40.0, desk_eigen[2])
+        grid = self.propagate_pulse(desk_eigen, standin_potential, standin_dipole,
+                                    desk_spectrum, 10.0)
+        assert eigen.populations.shape == (2, desk_spectrum.bound_count)
+        # the pulse moves population, so agreement is not trivial
+        assert eigen.populations[-1, 6] > 1e-3
+        assert np.max(np.abs(eigen.populations[-1] - grid.populations[-1])) < 1e-5
+
+    def test_doubling_the_cutoff_moves_populations_below_1e7(self, desk_eigen, desk_grid,
+                                                             desk_spectrum, standin_potential,
+                                                             standin_dipole):
+        # every bound population, so the fitness J of any target level
+        cap, _, stepper, _ = desk_eigen
+        wide = EigenStepper(
+            solve_spectrum(desk_grid, standin_potential,
+                           threshold=-2.0 * desk_spectrum.energies[0]),
+            standin_dipole, cap, 40.0,
+        )
+        assert wide.phi.shape[0] > stepper.phi.shape[0]
+        p = [self.propagate_pulse(desk_eigen, standin_potential, standin_dipole,
+                                  desk_spectrum, 40.0, s).populations[-1]
+             for s in (stepper, wide)]
+        assert np.max(np.abs(p[0] - p[1])) < 1e-7
+
+    def test_norm_never_increases_under_cap(self, desk_eigen, desk_grid, desk_spectrum,
+                                            standin_potential, standin_dipole):
+        cap, _, stepper, _ = desk_eigen
+        # the least bound level reaches into the absorber; a strong pulse drives it
+        v = desk_spectrum.bound_count - 1
+        state = WavefunctionState(psi=desk_spectrum.wavefunctions[v].astype(complex),
+                                  t=0.0, grid=desk_grid)
+        pulse = ChirpedPulseParams(eps0=1e-2, omega0=-1.5 * desk_spectrum.energies[v],
+                                   tau0=2e4, tau=5e3, chirp=0.0)
+        rec = propagate(state, pulse, standin_potential, standin_dipole, cap, t_max=4e4,
+                        dt=40.0, sample_stride=10, stepper=stepper)
+        assert np.all(np.diff(rec.norm) <= 1e-12)
+        assert rec.norm[-1] < rec.norm[0] - 1e-4
+
+    def test_zero_field_keeps_an_eigenstate(self, desk_eigen, desk_grid, desk_spectrum,
+                                            standin_potential, standin_dipole):
+        cap, _, stepper, _ = desk_eigen
+        for v in (2, 8):
+            state = WavefunctionState(psi=desk_spectrum.wavefunctions[v].astype(complex),
+                                      t=0.0, grid=desk_grid)
+            rec = propagate(state, None, standin_potential, standin_dipole, cap, t_max=4e4,
+                            dt=40.0, sample_stride=100, spectrum=desk_spectrum,
+                            stepper=stepper)
+            assert np.max(np.abs(rec.populations[:, v] - 1.0)) < 1e-10
+
+    def test_propagate_rejects_a_stepper_with_another_dt(self, desk_eigen,
+                                                          standin_potential, standin_dipole):
+        cap, pulse, stepper, state = desk_eigen
+        with pytest.raises(ValueError, match="dt"):
+            propagate(state, pulse, standin_potential, standin_dipole, cap, t_max=1e3,
+                      dt=20.0, stepper=stepper)
