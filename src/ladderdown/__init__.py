@@ -40,13 +40,14 @@ from .ga import (
 )
 from .propagator import (
     CapSpec,
+    EigenStepper,
     PropagationRecord,
+    SplitStepper,
     WavefunctionState,
     cap_value,
     choose_time_step,
     populations,
     propagate,
-    step,
 )
 from .pulse import (
     ChirpedPulseParams,

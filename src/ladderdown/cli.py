@@ -38,7 +38,7 @@ from .curves import (
 )
 from .dvr import RadialGrid, lifetime, sdme_map, solve_spectrum
 from .ga import GaConfig, LadderProblem, SurrogateProblem, optimize
-from .propagator import CapSpec, WavefunctionState, choose_time_step, propagate
+from .propagator import CapSpec, SplitStepper, WavefunctionState, choose_time_step, propagate
 from .pulse import (
     GENE_NAMES,
     ChirpedPulseParams,
@@ -338,6 +338,7 @@ def parse_config(text: str) -> RunConfig:
     if cp.has_section("cap"):
         cap = _build("cap", CapSpec, r0=_get(cp, "cap", "r0", float),
                      eta=_get(cp, "cap", "eta", float))
+        _build("cap", cap.check_inside, grid)
 
     initial = _get(cp, "levels", "initial", int)
     target = _get(cp, "levels", "target", int)
@@ -369,6 +370,13 @@ def parse_config(text: str) -> RunConfig:
         })
         _build("ga", ga.ga_config, ranges, ga.seed)  # GaConfig's checks, before any solve
 
+    dt = _get(cp, "propagation", "dt", float, None)
+    if dt is not None and not dt > 0:
+        raise ConfigError(f"[propagation] dt: must be positive, got {dt}")
+    sample_stride = _get(cp, "propagation", "sample_stride", int, 100)
+    if sample_stride < 1:
+        raise ConfigError(f"[propagation] sample_stride: must be >= 1, got {sample_stride}")
+
     return RunConfig(
         grid=grid,
         potential=potential,
@@ -379,8 +387,8 @@ def parse_config(text: str) -> RunConfig:
         ladder=ladder,
         pulse=_parse_pulse(cp),
         ga=ga,
-        dt=_get(cp, "propagation", "dt", float, None),
-        sample_stride=_get(cp, "propagation", "sample_stride", int, 100),
+        dt=dt,
+        sample_stride=sample_stride,
         text=text,
     )
 
@@ -500,10 +508,9 @@ def cmd_propagate(config: RunConfig, out_dir: str, pulse_file: str | None = None
     state = WavefunctionState(psi=psi0, t=0.0, grid=config.grid)
 
     t0 = time.perf_counter()
-    rec = propagate(
-        state, pulse, config.potential, config.dipole, config.cap,
-        t_max=duration(pulse), dt=dt, sample_stride=config.sample_stride, spectrum=spec,
-    )
+    stepper = SplitStepper(config.grid, config.potential, config.dipole, config.cap, dt)
+    rec = propagate(state, pulse, stepper, duration(pulse),
+                    sample_stride=config.sample_stride, spectrum=spec)
     wall = time.perf_counter() - t0
 
     _write_csv(
@@ -537,6 +544,8 @@ def cmd_optimize(
     config: RunConfig, out_dir: str, threads: int = 1, surrogate: bool = False,
     seed: int | None = None,
 ) -> dict:
+    if threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {threads}")
     out = _prepare_out(out_dir)
     if config.ga is None:
         raise ConfigError("optimize needs a [ga] section")
@@ -563,8 +572,8 @@ def cmd_optimize(
             eps_max=ranges.eps0[1],
         )
         problem = LadderProblem(
-            grid=config.grid, potential=config.potential, dipole=config.dipole,
-            cap=config.cap, spectrum=spec, initial_level=config.initial_level,
+            potential=config.potential, dipole=config.dipole, cap=config.cap,
+            spectrum=spec, initial_level=config.initial_level,
             target_level=config.target_level, dt=dt,
         )
 
@@ -587,6 +596,7 @@ def cmd_optimize(
         f"best_fitness = {_fmt(best.fitness)}",
         f"evaluations = {history.evaluations}",
         f"failures = {history.failures}",
+        f"uniform_fallbacks = {history.uniform_fallbacks}",
         f"surrogate = {surrogate}",
         f"genes_on_range_boundary = {','.join(on_boundary) if on_boundary else 'none'}",
     ]

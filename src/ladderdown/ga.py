@@ -21,7 +21,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .dvr import RadialGrid, VibrationalSpectrum, solve_spectrum
+from .dvr import VibrationalSpectrum, solve_spectrum
 from .propagator import (
     CapSpec,
     EigenStepper,
@@ -102,12 +102,11 @@ class LadderProblem:
     The steps are Strang steps exp(-i H dt/2) exp(-i eps D dt) exp(-i H dt/2)
     in the eigenbasis of H0 below ``ecut`` = -E_0, the well depth measured
     from the dissociation limit, with H = H0 + CAP projected on that basis
-    (``propagator.EigenStepper``). The overlap is taken on the grid.
-    ``dt`` is pinned by the caller; nothing here or in the CLI checks its
-    convergence.
+    (``propagator.EigenStepper``), which ``evaluate`` hands to ``propagate``
+    on ``spectrum.grid``; the overlap is taken there too. ``dt`` is pinned
+    by the caller; nothing here or in the CLI checks its convergence.
     """
 
-    grid: RadialGrid
     potential: object
     dipole: object
     cap: CapSpec | None
@@ -120,7 +119,7 @@ class LadderProblem:
     def stepper(self) -> EigenStepper:
         """The eigenbasis stepper, built at the first score and kept."""
         ecut = -float(self.spectrum.energies[0])
-        basis = solve_spectrum(self.grid, self.potential, threshold=ecut)
+        basis = solve_spectrum(self.spectrum.grid, self.potential, threshold=ecut)
         return EigenStepper(basis, self.dipole, self.cap, self.dt)
 
     def drop_stepper(self):
@@ -133,12 +132,8 @@ class LadderProblem:
 
     def evaluate(self, params: ChirpedPulseParams) -> float:
         psi0 = self.spectrum.wavefunctions[self.initial_level].astype(complex)
-        state = WavefunctionState(psi=psi0, t=0.0, grid=self.grid)
-        rec = propagate(
-            state, params, self.potential, self.dipole, self.cap,
-            t_max=duration(params), dt=self.dt, sample_stride=10**9,
-            stepper=self.stepper,
-        )
+        state = WavefunctionState(psi=psi0, t=0.0, grid=self.spectrum.grid)
+        rec = propagate(state, params, self.stepper, duration(params), sample_stride=10**9)
         target = self.spectrum.wavefunctions[self.target_level]
         j = abs(rec.final_state.overlap(target)) ** 2
         return float(min(max(j, 0.0), 1.0))

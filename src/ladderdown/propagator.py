@@ -13,7 +13,8 @@ J. Phys. B 26, 4503 (1993)).
 and W(t) = V(R) + eps(t) D(R) + V_cap(R). The kinetic factors act in
 momentum space through FFTs on the periodic grid; the complex absorbing
 potential lives inside W, so each step stays exactly norm-non-increasing.
-It is the production ``propagate`` path and the oracle for the other one.
+The ``propagate`` command replays pulses with it, and it is the oracle
+for the other one.
 
 ``EigenStepper`` works in the eigenbasis of H0 = T + V below a cutoff
 energy ``ecut``, with the split
@@ -25,6 +26,10 @@ scores pulses with it, taking the well depth as ``ecut``.
 
 Both merge the inner half steps of consecutive steps between observable
 samples, which halves their cost without changing the factorization.
+
+``propagate(state, field, stepper, t_max)`` drives either one: the stepper
+is built once and carries the curves, the absorber and dt, and
+``propagate`` adds the clock and the sampled observables.
 """
 
 from __future__ import annotations
@@ -58,6 +63,13 @@ class CapSpec:
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError(f"CAP strength must be positive, got {self.eta}")
+
+    def check_inside(self, grid: RadialGrid):
+        """Raise ValueError unless the onset lies strictly inside the grid."""
+        if not grid.r_min < self.r0 < grid.r_max:
+            raise ValueError(
+                f"CAP onset {self.r0} must lie inside the grid ({grid.r_min}, {grid.r_max})"
+            )
 
 
 def cap_value(cap: CapSpec, r):
@@ -143,10 +155,8 @@ class PropagationRecord:
 def _check_stepper(grid: RadialGrid, cap: CapSpec | None, dt: float):
     if dt == 0:
         raise ValueError("time step must be nonzero")
-    if cap is not None and not grid.r_min < cap.r0 < grid.r_max:
-        raise ValueError(
-            f"CAP onset {cap.r0} must lie inside the grid ({grid.r_min}, {grid.r_max})"
-        )
+    if cap is not None:
+        cap.check_inside(grid)
 
 
 # field samples per block; bounds memory however long the horizon
@@ -259,59 +269,34 @@ class EigenStepper:
         return self.phi.T @ c.real + 1j * (self.phi.T @ c.imag)
 
 
-def step(
-    state: WavefunctionState,
-    field,
-    potential,
-    dipole,
-    cap: CapSpec | None,
-    dt: float,
-) -> WavefunctionState:
-    """One symmetric split-operator step; advances time by dt.
-
-    ``field`` may be a callable eps(t), a ChirpedPulseParams, or None for a
-    field-free step. Negative dt steps backward (no CAP only, or the
-    absorber turns into a source).
-    """
-    if isinstance(field, ChirpedPulseParams):
-        field = as_field(field)
-    stepper = SplitStepper(state.grid, potential, dipole, cap, dt)
-    psi = stepper.run(state.psi.copy(), state.t, 1, field)
-    return WavefunctionState(psi=psi, t=state.t + dt, grid=state.grid)
-
-
 def propagate(
     state: WavefunctionState,
     field,
-    potential,
-    dipole,
-    cap: CapSpec | None,
+    stepper: SplitStepper | EigenStepper,
     t_max: float,
-    dt: float,
     sample_stride: int = 1,
     spectrum: VibrationalSpectrum | None = None,
     levels=None,
-    stepper: SplitStepper | EigenStepper | None = None,
 ) -> PropagationRecord:
-    """Propagate until t >= t_max, sampling observables along the way.
+    """Propagate with ``stepper`` until t >= t_max, sampling observables.
 
-    Observables are recorded at the start, every ``sample_stride`` steps,
-    and at the final step. Populations require ``spectrum``; ``levels``
-    selects which of its bound levels to record (default all). The steps
-    are taken by ``stepper`` when given (its dt must equal ``dt``; the
-    curves and cap arguments are then unused), else by a SplitStepper.
-    Raises PropagationBlowupError if the norm goes non-finite.
+    The stepper carries the curves, the absorber and dt; it must be built on
+    the state's grid with dt > 0. ``field`` may be a callable eps(t), a
+    ChirpedPulseParams, or None for field-free steps. Observables are
+    recorded at the start, every ``sample_stride`` steps, and at the final
+    step. Populations require ``spectrum``; ``levels`` selects which of its
+    bound levels to record (default all). Raises PropagationBlowupError if
+    the norm goes non-finite.
     """
+    dt = stepper.dt
     if dt <= 0:
-        raise ValueError("propagation requires dt > 0")
+        raise ValueError(f"propagation requires a stepper with dt > 0, got {dt}")
+    if stepper.grid != state.grid:
+        raise ValueError(f"stepper grid {stepper.grid} differs from the state's {state.grid}")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     if isinstance(field, ChirpedPulseParams):
         field = as_field(field)
-    if stepper is None:
-        stepper = SplitStepper(state.grid, potential, dipole, cap, dt)
-    elif stepper.dt != dt:
-        raise ValueError(f"stepper dt {stepper.dt} differs from propagation dt {dt}")
     n_steps = max(1, math.ceil((t_max - state.t) / dt - 1e-12))
 
     if levels is None and spectrum is not None:
@@ -400,8 +385,8 @@ def refine_time_step(
                                                       dipole=dipole, cap=cap)
 
     def final_pops(dt_try: float) -> np.ndarray:
-        rec = propagate(state, field, potential, dipole, cap, t_max, dt_try,
-                        sample_stride=10**9, spectrum=spectrum)
+        stepper = SplitStepper(state.grid, potential, dipole, cap, dt_try)
+        rec = propagate(state, field, stepper, t_max, sample_stride=10**9, spectrum=spectrum)
         return rec.populations[-1]
 
     prev = final_pops(dt)

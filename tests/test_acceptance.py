@@ -110,7 +110,7 @@ def test_criterion_3_propagator_unitarity_and_order():
 
     psi0 = (spec.wavefunctions[0] + spec.wavefunctions[1]) / math.sqrt(2.0)
     state = WavefunctionState(psi=psi0.astype(complex), t=0.0, grid=grid)
-    rec = propagate(state, pulse, pot, dip, None, t_max=10.0, dt=1e-3,
+    rec = propagate(state, pulse, SplitStepper(grid, pot, dip, None, 1e-3), t_max=10.0,
                     sample_stride=1000)
     drift = np.max(np.abs(rec.norm - 1.0))
     checks.append(
@@ -122,7 +122,7 @@ def test_criterion_3_propagator_unitarity_and_order():
     drive = ChirpedPulseParams(eps0=0.02, omega0=1.0, tau0=10.0, tau=3.0, chirp=0.02)
 
     def final(dt):
-        return propagate(ground, drive, pot, dip, None, t_max=20.0, dt=dt,
+        return propagate(ground, drive, SplitStepper(grid, pot, dip, None, dt), t_max=20.0,
                          sample_stride=10**9).final_state.psi
 
     ref = final(20.0 / 2**13)
@@ -135,8 +135,8 @@ def test_criterion_3_propagator_unitarity_and_order():
     free_grid = RadialGrid(r_min=1.0, r_max=101.0, n_points=512, mu=1.0)
     x = free_grid.points
     packet = WavefunctionState(psi=gaussian_packet(x, 51.0, 1.0), t=0.0, grid=free_grid)
-    rec = propagate(packet, None, ZeroPotential(), None, None, t_max=10.0, dt=0.01,
-                    sample_stride=10**9)
+    rec = propagate(packet, None, SplitStepper(free_grid, ZeroPotential(), None, None, 0.01),
+                    t_max=10.0, sample_stride=10**9)
     prob = np.abs(rec.final_state.psi) ** 2 * free_grid.dr
     mean = float(np.sum(prob * x))
     var = float(np.sum(prob * (x - mean) ** 2))
@@ -171,8 +171,8 @@ def test_criterion_4_rabi_oracle():
     eps = 0.004
     period = 2.0 * math.pi / (eps * d01)
     state = WavefunctionState(psi=spec.wavefunctions[0].astype(complex), t=0.0, grid=grid)
-    rec = propagate(state, lambda t: eps * np.cos(w01 * np.asarray(t)), pot, dip, None,
-                    t_max=0.75 * period, dt=0.25, sample_stride=20,
+    rec = propagate(state, lambda t: eps * np.cos(w01 * np.asarray(t)),
+                    SplitStepper(grid, pot, dip, None, 0.25), t_max=0.75 * period, sample_stride=20,
                     spectrum=spec, levels=[0, 1])
     p0 = rec.populations[:, 0]
     t_half = rec.times[int(np.argmin(p0))]
@@ -195,11 +195,11 @@ def test_criterion_5_cap_accounting():
 
     grid_a = RadialGrid(r_min=0.5, r_max=100.5, n_points=1000, mu=1.0)
     spec_a, state_a = make_state(grid_a)
-    rec_a = propagate(state_a, None, pot, None, CapSpec(r0=60.0, eta=0.02),
-                      t_max=25.0, dt=0.02, sample_stride=50, spectrum=spec_a)
+    rec_a = propagate(state_a, None, SplitStepper(grid_a, pot, None, CapSpec(r0=60.0, eta=0.02), 0.02),
+                      t_max=25.0, sample_stride=50, spectrum=spec_a)
     grid_b = RadialGrid(r_min=0.5, r_max=200.5, n_points=2000, mu=1.0)
     spec_b, state_b = make_state(grid_b)
-    rec_b = propagate(state_b, None, pot, None, None, t_max=25.0, dt=0.02,
+    rec_b = propagate(state_b, None, SplitStepper(grid_b, pot, None, None, 0.02), t_max=25.0,
                       sample_stride=10**9, spectrum=spec_b)
     mismatch = abs(rec_a.dissociation[-1] - (1.0 - rec_b.total_bound[-1]))
     report(5, "CAP accounting", [
@@ -282,7 +282,7 @@ def ladder_descent_run(desk_grid, desk_spectrum, desk_sdme, standin_potential,
                               sdme=desk_sdme, tau_span=2.5)
     cap = CapSpec(r0=48.0, eta=5e-6)
     problem = LadderProblem(
-        grid=desk_grid, potential=standin_potential, dipole=standin_dipole,
+        potential=standin_potential, dipole=standin_dipole,
         cap=cap, spectrum=desk_spectrum, initial_level=8, target_level=2, dt=40.0,
     )
     cfg = GaConfig(ranges=ranges, population_size=12, generations=6,
@@ -296,8 +296,8 @@ def ladder_descent_run(desk_grid, desk_spectrum, desk_sdme, standin_potential,
         psi=desk_spectrum.wavefunctions[8].astype(complex), t=0.0, grid=desk_grid
     )
     trace = propagate(
-        state, best.params, standin_potential, standin_dipole, cap,
-        t_max=best.params.tau0 + 4.0 * best.params.tau, dt=40.0,
+        state, best.params, SplitStepper(desk_grid, standin_potential, standin_dipole, cap, 40.0),
+        t_max=best.params.tau0 + 4.0 * best.params.tau,
         sample_stride=100, spectrum=desk_spectrum,
     )
     return {

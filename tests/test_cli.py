@@ -273,6 +273,20 @@ class TestOptimize:
         b = result["history"].best_fitness
         assert all(later >= earlier for earlier, later in zip(b, b[1:]))
 
+    def test_summary_reports_uniform_fallbacks(self, tmp_path):
+        config = load_config(None, "old20")
+        result = cmd_optimize(config, str(tmp_path / "u"), surrogate=True, seed=5)
+        summary = (tmp_path / "u" / "summary.txt").read_text().splitlines()
+        assert f"uniform_fallbacks = {result['history'].uniform_fallbacks}" in summary
+
+    def test_threads_below_one_is_a_one_line_error(self, tmp_path, capsys):
+        rc = main(["optimize", "--preset", "old20", "--surrogate", "--threads", "-3",
+                   "--out", str(tmp_path / "t")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --threads ") and err.count("\n") == 1
+        assert not (tmp_path / "t").exists()
+
     def test_missing_ga_section_is_config_error(self, tmp_path):
         text = PRESETS["desk"]
         start = text.index("[ga]")
@@ -352,7 +366,12 @@ class TestPulseSpectrum:
         assert err.startswith("error: [ga] ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("old, new", [("n_points = 1024", "n_points = 8"),
-                                          ("eta = 5e-6", "eta = -5e-6")])
+                                          ("eta = 5e-6", "eta = -5e-6"),
+                                          ("r0 = 48.0", "r0 = 200.0"),
+                                          ("dt = 40.0", "dt = 0"),
+                                          ("dt = 40.0", "dt = -40.0"),
+                                          ("sample_stride = 100", "sample_stride = 0")])
     def test_invalid_config_value_is_a_config_error(self, old, new):
         with pytest.raises(ConfigError):
             parse_config(PRESETS["desk"].replace(old, new))
+

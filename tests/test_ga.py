@@ -58,7 +58,7 @@ def toy_ladder_problem():
     pot = MorsePotential(de=0.25, re=10.0, a=1.0)
     spectrum = solve_spectrum(grid, pot)
     return LadderProblem(
-        grid=grid, potential=pot, dipole=LinearDipole(10.0), cap=None,
+        potential=pot, dipole=LinearDipole(10.0), cap=None,
         spectrum=spectrum, initial_level=1, target_level=0, dt=0.25,
     )
 
@@ -86,7 +86,7 @@ class TestInitPopulation:
 class TestEvaluateFitness:
     def test_stationary_target_scores_one(self, toy_ladder_problem):
         prob = LadderProblem(
-            grid=toy_ladder_problem.grid, potential=toy_ladder_problem.potential,
+            potential=toy_ladder_problem.potential,
             dipole=toy_ladder_problem.dipole, cap=None,
             spectrum=toy_ladder_problem.spectrum, initial_level=1, target_level=1,
             dt=0.25,
@@ -250,7 +250,7 @@ class TestOptimize:
         grid = RadialGrid(r_min=8.0, r_max=68.0, n_points=256, mu=MU_K39RB87)
         spectrum = solve_spectrum(grid, standin_potential)
         problem = LadderProblem(
-            grid=grid, potential=standin_potential, dipole=standin_dipole,
+            potential=standin_potential, dipole=standin_dipole,
             cap=CapSpec(r0=48.0, eta=5e-6), spectrum=spectrum, initial_level=8,
             target_level=6, dt=40.0,
         )

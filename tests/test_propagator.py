@@ -16,7 +16,6 @@ from ladderdown.propagator import (
     populations,
     propagate,
     refine_time_step,
-    step,
 )
 from ladderdown.pulse import ChirpedPulseParams, as_field
 from oracles import HarmonicPotential, LinearDipole, ZeroPotential, gaussian_packet
@@ -68,8 +67,8 @@ class TestFreeDispersion:
         psi0 = gaussian_packet(x, 51.0, 1.0)
         state = WavefunctionState(psi=psi0, t=0.0, grid=grid)
         n_steps, dt = 1000, 0.01
-        rec = propagate(state, None, ZeroPotential(), None, None,
-                        t_max=n_steps * dt, dt=dt, sample_stride=n_steps)
+        rec = propagate(state, None, SplitStepper(grid, ZeroPotential(), None, None, dt),
+                        t_max=n_steps * dt, sample_stride=n_steps)
         prob = np.abs(rec.final_state.psi) ** 2 * grid.dr
         mean = float(np.sum(prob * x))
         var = float(np.sum(prob * (x - mean) ** 2))
@@ -102,7 +101,7 @@ class TestEigenstateEvolution:
         p = ChirpedPulseParams(eps0=0.02, omega0=1.0, tau0=5.0, tau=2.0, chirp=0.05)
         psi0 = (spectrum.wavefunctions[0] + spectrum.wavefunctions[1]) / math.sqrt(2.0)
         state = WavefunctionState(psi=psi0.astype(complex), t=0.0, grid=grid)
-        rec = propagate(state, p, pot, dip, None, t_max=10.0, dt=1e-3,
+        rec = propagate(state, p, SplitStepper(grid, pot, dip, None, 1e-3), t_max=10.0,
                         sample_stride=1000, spectrum=spectrum)
         assert rec.steps == 10_000
         assert np.max(np.abs(rec.norm - 1.0)) < 1e-10
@@ -137,7 +136,7 @@ class TestStrangOrder:
         t_total = 20.0
 
         def final(dt):
-            rec = propagate(state, p, pot, dip, None, t_max=t_total, dt=dt,
+            rec = propagate(state, p, SplitStepper(grid, pot, dip, None, dt), t_max=t_total,
                             sample_stride=10**9)
             return rec.final_state.psi
 
@@ -159,8 +158,8 @@ class TestRabiOracle:
             psi=spectrum.wavefunctions[0].astype(complex), t=0.0, grid=grid
         )
         rec = propagate(
-            state, lambda t: eps * np.cos(w01 * np.asarray(t)), pot, dip, None,
-            t_max=0.75 * period, dt=0.25, sample_stride=20,
+            state, lambda t: eps * np.cos(w01 * np.asarray(t)),
+            SplitStepper(grid, pot, dip, None, 0.25), t_max=0.75 * period, sample_stride=20,
             spectrum=spectrum, levels=[0, 1],
         )
         p0 = rec.populations[:, 0]
@@ -188,14 +187,14 @@ def runs():
     grid_cap = RadialGrid(r_min=0.5, r_max=100.5, n_points=1000, mu=1.0)
     spec_cap, state_cap = make_state(grid_cap)
     rec_cap = propagate(
-        state_cap, None, pot, None, CapSpec(r0=60.0, eta=0.02),
-        t_max=25.0, dt=0.02, sample_stride=50, spectrum=spec_cap,
+        state_cap, None, SplitStepper(grid_cap, pot, None, CapSpec(r0=60.0, eta=0.02), 0.02),
+        t_max=25.0, sample_stride=50, spectrum=spec_cap,
     )
     grid_big = RadialGrid(r_min=0.5, r_max=200.5, n_points=2000, mu=1.0)
     spec_big, state_big = make_state(grid_big)
     rec_big = propagate(
-        state_big, None, pot, None, None,
-        t_max=25.0, dt=0.02, sample_stride=10**9, spectrum=spec_big,
+        state_big, None, SplitStepper(grid_big, pot, None, None, 0.02),
+        t_max=25.0, sample_stride=10**9, spectrum=spec_big,
     )
     return rec_cap, rec_big
 
@@ -256,7 +255,7 @@ class TestPropagateBookkeeping:
         grid, pot, dip, spectrum = harmonic_system
         psi0 = (spectrum.wavefunctions[0] + spectrum.wavefunctions[2]) / math.sqrt(2.0)
         state = WavefunctionState(psi=psi0.astype(complex), t=0.0, grid=grid)
-        rec = propagate(state, None, pot, dip, None, t_max=5.0, dt=1e-4,
+        rec = propagate(state, None, SplitStepper(grid, pot, dip, None, 1e-4), t_max=5.0,
                         sample_stride=5000, spectrum=spectrum)
         drift = np.max(np.abs(rec.populations - rec.populations[0]), axis=0)
         assert np.max(drift) < 1e-8
@@ -268,8 +267,9 @@ class TestPropagateBookkeeping:
         state = WavefunctionState(
             psi=desk_spectrum.wavefunctions[8].astype(complex), t=0.0, grid=desk_grid
         )
-        rec = propagate(state, p, standin_potential, standin_dipole,
-                        CapSpec(r0=48.0, eta=5e-6), t_max=1.05e6, dt=40.0,
+        stepper = SplitStepper(desk_grid, standin_potential, standin_dipole,
+                               CapSpec(r0=48.0, eta=5e-6), 40.0)
+        rec = propagate(state, p, stepper, t_max=1.05e6,
                         sample_stride=500, spectrum=desk_spectrum)
         assert np.all(rec.total_bound <= rec.norm + 1e-8)
 
@@ -278,7 +278,7 @@ class TestPropagateBookkeeping:
         state = WavefunctionState(
             psi=spectrum.wavefunctions[0].astype(complex), t=0.0, grid=grid
         )
-        rec = propagate(state, None, pot, dip, None, t_max=1.0, dt=0.01,
+        rec = propagate(state, None, SplitStepper(grid, pot, dip, None, 0.01), t_max=1.0,
                         sample_stride=7, spectrum=spectrum)
         assert rec.steps == 100
         assert len(rec.times) == math.ceil(100 / 7) + 1
@@ -290,7 +290,7 @@ class TestPropagateBookkeeping:
         bad = np.full(grid.n_points, np.nan, dtype=complex)
         state = WavefunctionState(psi=bad, t=0.0, grid=grid)
         with pytest.raises(PropagationBlowupError) as err:
-            propagate(state, None, pot, dip, None, t_max=1.0, dt=0.01)
+            propagate(state, None, SplitStepper(grid, pot, dip, None, 0.01), t_max=1.0)
         assert err.value.step_index == 0
 
     def test_time_reversal_without_cap(self, harmonic_system):
@@ -298,14 +298,12 @@ class TestPropagateBookkeeping:
         p = ChirpedPulseParams(eps0=0.02, omega0=1.0, tau0=5.0, tau=2.0, chirp=0.05)
         psi0 = spectrum.wavefunctions[0].astype(complex)
         state = WavefunctionState(psi=psi0, t=0.0, grid=grid)
-        forward = propagate(state, p, pot, dip, None, t_max=10.0, dt=0.01,
+        forward = propagate(state, p, SplitStepper(grid, pot, dip, None, 0.01), t_max=10.0,
                             sample_stride=10**9).final_state
-        back = forward
-        for _ in range(1000):
-            back = step(back, p, pot, dip, None, -0.01)
-        overlap = abs(back.overlap(psi0)) ** 2
+        back = SplitStepper(grid, pot, dip, None, -0.01).run(
+            forward.psi.copy(), forward.t, 1000, as_field(p))
+        overlap = abs(grid.dr * np.vdot(psi0, back)) ** 2
         assert abs(overlap - 1.0) < 1e-8
-        assert abs(back.t) < 1e-9
 
     def test_spatial_grid_convergence(self, standin_potential, standin_dipole):
         p = ChirpedPulseParams(eps0=6e-3, omega0=1.15e-4, tau0=4.5e5, tau=1.5e5,
@@ -318,8 +316,9 @@ class TestPropagateBookkeeping:
             state = WavefunctionState(
                 psi=spectrum.wavefunctions[8].astype(complex), t=0.0, grid=grid
             )
-            rec = propagate(state, p, standin_potential, standin_dipole,
-                            CapSpec(r0=48.0, eta=5e-6), t_max=1.05e6, dt=20.0,
+            stepper = SplitStepper(grid, standin_potential, standin_dipole,
+                                   CapSpec(r0=48.0, eta=5e-6), 20.0)
+            rec = propagate(state, p, stepper, t_max=1.05e6,
                             sample_stride=10**9, spectrum=spectrum)
             finals.append(rec.populations[-1])
         assert np.max(np.abs(finals[0] - finals[1])) < 1e-6
@@ -344,10 +343,10 @@ class TestTimeStepSelection:
         field = lambda t: 0.004 * np.cos(w01 * np.asarray(t))
         dt = refine_time_step(state, field, pot, dip, None, t_max=200.0,
                               spectrum=spectrum, dt0=1.0, tol=1e-6)
-        rec_a = propagate(state, field, pot, dip, None, t_max=200.0, dt=dt,
+        rec_a = propagate(state, field, SplitStepper(grid, pot, dip, None, dt), t_max=200.0,
                           sample_stride=10**9, spectrum=spectrum)
-        rec_b = propagate(state, field, pot, dip, None, t_max=200.0, dt=dt / 2,
-                          sample_stride=10**9, spectrum=spectrum)
+        rec_b = propagate(state, field, SplitStepper(grid, pot, dip, None, dt / 2),
+                          t_max=200.0, sample_stride=10**9, spectrum=spectrum)
         assert np.max(np.abs(rec_a.populations[-1] - rec_b.populations[-1])) < 1e-6
 
 
@@ -368,8 +367,10 @@ def desk_eigen(desk_grid, desk_spectrum, standin_potential, standin_dipole):
 class TestEigenStepper:
     def propagate_pulse(self, desk_eigen, potential, dipole, spectrum, dt, stepper=None):
         cap, pulse, _, state = desk_eigen
-        return propagate(state, pulse, potential, dipole, cap, t_max=pulse.tau0 + 4 * pulse.tau,
-                         dt=dt, sample_stride=10**9, spectrum=spectrum, stepper=stepper)
+        if stepper is None:
+            stepper = SplitStepper(state.grid, potential, dipole, cap, dt)
+        return propagate(state, pulse, stepper, t_max=pulse.tau0 + 4 * pulse.tau,
+                         sample_stride=10**9, spectrum=spectrum)
 
     def test_matches_grid_oracle_at_desk_scale(self, desk_eigen, desk_spectrum,
                                                standin_potential, standin_dipole):
@@ -407,8 +408,7 @@ class TestEigenStepper:
                                   t=0.0, grid=desk_grid)
         pulse = ChirpedPulseParams(eps0=1e-2, omega0=-1.5 * desk_spectrum.energies[v],
                                    tau0=2e4, tau=5e3, chirp=0.0)
-        rec = propagate(state, pulse, standin_potential, standin_dipole, cap, t_max=4e4,
-                        dt=40.0, sample_stride=10, stepper=stepper)
+        rec = propagate(state, pulse, stepper, t_max=4e4, sample_stride=10)
         assert np.all(np.diff(rec.norm) <= 1e-12)
         assert rec.norm[-1] < rec.norm[0] - 1e-4
 
@@ -418,14 +418,14 @@ class TestEigenStepper:
         for v in (2, 8):
             state = WavefunctionState(psi=desk_spectrum.wavefunctions[v].astype(complex),
                                       t=0.0, grid=desk_grid)
-            rec = propagate(state, None, standin_potential, standin_dipole, cap, t_max=4e4,
-                            dt=40.0, sample_stride=100, spectrum=desk_spectrum,
-                            stepper=stepper)
+            rec = propagate(state, None, stepper, t_max=4e4, sample_stride=100,
+                            spectrum=desk_spectrum)
             assert np.max(np.abs(rec.populations[:, v] - 1.0)) < 1e-10
 
-    def test_propagate_rejects_a_stepper_with_another_dt(self, desk_eigen,
-                                                          standin_potential, standin_dipole):
-        cap, pulse, stepper, state = desk_eigen
-        with pytest.raises(ValueError, match="dt"):
-            propagate(state, pulse, standin_potential, standin_dipole, cap, t_max=1e3,
-                      dt=20.0, stepper=stepper)
+    def test_propagate_rejects_a_stepper_on_another_grid(self, desk_eigen):
+        _, pulse, stepper, state = desk_eigen
+        g = state.grid
+        other = RadialGrid(r_min=g.r_min, r_max=g.r_max + 10.0, n_points=g.n_points, mu=g.mu)
+        moved = WavefunctionState(psi=state.psi, t=0.0, grid=other)
+        with pytest.raises(ValueError, match="grid"):
+            propagate(moved, pulse, stepper, t_max=1e3)
