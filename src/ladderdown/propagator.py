@@ -27,6 +27,16 @@ scores pulses with it, taking the well depth as ``ecut``.
 Both merge the inner half steps of consecutive steps between observable
 samples, which halves their cost without changing the factorization.
 
+Both form the field factor exp(-i eps(tmid) a) of a step, with a real
+phase a per unit field (dt D(R) on the grid, dt times the eigenvalues of D
+in the basis), without a transcendental per point. It is the Taylor series
+of the exponential, truncated at the smallest order whose remainder stays
+below 2^-60 for the largest |eps a| of a block of steps. Phases above 1/2
+are halved s times, summed and squared back s times (scaling and squaring;
+Moler & Van Loan, SIAM Rev. 45, 3 (2003)). So every factor is exact to
+rounding, and a step costs one small matrix-vector product with powers of
+a built once.
+
 ``propagate(state, field, stepper, t_max)`` drives either one: the stepper
 is built once and carries the curves, the absorber and dt, and
 ``propagate`` adds the clock and the sampled observables.
@@ -61,8 +71,10 @@ class CapSpec:
     eta: float
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError(f"CAP strength must be positive, got {self.eta}")
+        if not math.isfinite(self.r0):
+            raise ValueError(f"CAP onset must be finite, got {self.r0}")
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"CAP strength must be positive and finite, got {self.eta}")
 
     def check_inside(self, grid: RadialGrid):
         """Raise ValueError unless the onset lies strictly inside the grid."""
@@ -94,7 +106,7 @@ class WavefunctionState:
 
     def norm(self) -> float:
         """Total probability dr * sum |psi|^2."""
-        return float(self.grid.dr * np.sum(np.abs(self.psi) ** 2))
+        return float(self.grid.dr * np.vdot(self.psi, self.psi).real)
 
     def overlap(self, other: np.ndarray) -> complex:
         """<other|psi> grid quadrature (other is conjugated)."""
@@ -119,8 +131,9 @@ def populations(
     total_bound always sums over every bound level; dissociation is the
     flux the absorber has removed, 1 - norm.
     """
-    overlaps = state.grid.dr * (spectrum.wavefunctions @ state.psi)
-    all_pops = np.abs(overlaps) ** 2
+    # real @ complex would copy the real levels to complex; split instead
+    phi = spectrum.wavefunctions
+    all_pops = state.grid.dr**2 * ((phi @ state.psi.real) ** 2 + (phi @ state.psi.imag) ** 2)
     pops = all_pops if levels is None else all_pops[list(levels)]
     norm = state.norm()
     return PopulationSnapshot(
@@ -161,18 +174,79 @@ def _check_stepper(grid: RadialGrid, cap: CapSpec | None, dt: float):
 
 # field samples per block; bounds memory however long the horizon
 _BLOCK = 512
+# the truncated series of the field factor leaves a remainder below this
+_SERIES_TOL = 2.0**-60
+# phases up to this are summed directly; larger ones are scaled and squared
+_THETA_MAX = 0.5
 
 
-def _midpoint_fields(field, t0: float, dt: float, n_steps: int):
-    """Yield (index of the block's first step, eps at its steps' midpoints)."""
-    for start in range(0, n_steps, _BLOCK):
-        m = min(_BLOCK, n_steps - start)
-        t_mid = (t0 + start * dt) + dt * (np.arange(m) + 0.5)
-        yield start, np.zeros(m) if field is None else np.asarray(field(t_mid), dtype=float)
+def _series_order(theta: float) -> int:
+    """Smallest M whose Taylor remainder of exp(x), |x| <= theta < 1, is below _SERIES_TOL.
+
+    The remainder is at most theta^(M+1)/(M+1)! * (M+2)/(M+2-theta).
+    """
+    m = 0
+    while theta ** (m + 1) / math.factorial(m + 1) * (m + 2) / (m + 2 - theta) > _SERIES_TOL:
+        m += 1
+    return m
+
+
+_ORDER_MAX = _series_order(_THETA_MAX)
+
+
+class _FieldFactor:
+    """exp(-i eps a) for a fixed real phase per unit field a, one step at a time.
+
+    Per block of midpoint fields, theta = max|eps| max|a| fixes the order M
+    and the number s of squarings (theta / 2^s < 1/2). The factor of a step
+    is then sum_{m<=M} (eps/2^s)^m (-i a)^m/m!, one real matrix-vector
+    product with the rows (-i a)^m/m! (as interleaved real pairs) built once,
+    squared s times. The rows run from the highest power down, so every sum
+    adds its small terms first. A non-finite eps gives a non-finite factor.
+    """
+
+    def __init__(self, a: np.ndarray):
+        a = np.asarray(a, dtype=float)
+        self.a_max = float(np.max(np.abs(a)))
+        rows = np.empty((_ORDER_MAX + 1, a.size), dtype=complex)
+        rows[-1] = 1.0
+        for m in range(1, _ORDER_MAX + 1):
+            rows[-1 - m] = rows[-m] * (-1j * a) / m
+        self.rows = rows.view(float)
+        self.factor = np.empty(a.size, dtype=complex)
+
+    def steps(self, field, t0: float, dt: float, n_steps: int):
+        """Yield (step index, exp(-i eps(tmid) a)); the next step overwrites the factor."""
+        factor = self.factor
+        for start in range(0, n_steps, _BLOCK):
+            t_mid = (t0 + start * dt) + dt * (np.arange(min(_BLOCK, n_steps - start)) + 0.5)
+            eps_mid = np.zeros(t_mid.size) if field is None else np.asarray(field(t_mid), float)
+            theta = float(np.max(np.abs(eps_mid))) * self.a_max
+            if math.isfinite(theta):
+                s = max(0, math.frexp(theta / _THETA_MAX)[1])
+                order = _series_order(theta / 2**s)
+            else:
+                # every power of a non-finite eps but the zeroth is non-finite
+                s, order = 0, _ORDER_MAX
+            weights = (eps_mid[:, None] / 2**s) ** np.arange(order, -1, -1)
+            rows = self.rows[_ORDER_MAX - order:]
+            for k, w in enumerate(weights, start):
+                np.matmul(w, rows, out=factor.view(float))
+                for _ in range(s):
+                    np.multiply(factor, factor, out=factor)
+                yield k, factor
 
 
 class SplitStepper:
-    """Precomputed split-operator factors for one (grid, curves, cap, dt)."""
+    """Precomputed split-operator factors for one (grid, curves, cap, dt).
+
+    A step multiplies psi by the static factor exp(-i (V + V_cap) dt), formed
+    once, and by the field factor exp(-i eps(tmid) D dt). The field factor is
+    a truncated Taylor series in eps (see ``_FieldFactor``), whose remainder
+    is below 2^-60 and whose large phases are scaled and squared, so it
+    equals the exponential to rounding at the cost of one small
+    matrix-vector product instead of a complex exp per grid point.
+    """
 
     def __init__(self, grid: RadialGrid, potential, dipole, cap: CapSpec | None, dt: float):
         _check_stepper(grid, cap, dt)
@@ -187,23 +261,20 @@ class SplitStepper:
         if cap is not None:
             w_static = w_static + cap_value(cap, r)
         self.pot_factor = np.exp(-1j * w_static * dt)
-        self.dip_phase = (
-            -1j * dipole.value(r) * dt if dipole is not None else np.zeros(grid.n_points)
+        self.field_factor = _FieldFactor(
+            dt * dipole.value(r) if dipole is not None else np.zeros(grid.n_points)
         )
 
     def run(self, psi: np.ndarray, t0: float, n_steps: int, field) -> np.ndarray:
         """Apply n_steps Strang steps starting at t0, merging inner kinetics."""
         if n_steps < 1:
             return psi
-        factor = np.empty_like(self.pot_factor)
         psi = sfft.ifft(self.kin_half * sfft.fft(psi))
-        for start, eps_mid in _midpoint_fields(field, t0, self.dt, n_steps):
-            for k, eps in enumerate(eps_mid, start):
-                np.exp(np.multiply(eps, self.dip_phase, out=factor), out=factor)
-                factor *= self.pot_factor
-                psi *= factor
-                kin = self.kin_half if k == n_steps - 1 else self.kin_full
-                psi = sfft.ifft(kin * sfft.fft(psi, overwrite_x=True), overwrite_x=True)
+        for k, factor in self.field_factor.steps(field, t0, self.dt, n_steps):
+            psi *= factor
+            psi *= self.pot_factor
+            kin = self.kin_half if k == n_steps - 1 else self.kin_full
+            psi = sfft.ifft(kin * sfft.fft(psi, overwrite_x=True), overwrite_x=True)
         return psi
 
 
@@ -225,9 +296,12 @@ class EigenStepper:
     symmetric, and diagonalizing it with ``eig`` instead gives
     ill-conditioned eigenvectors with which a run overflows. The real
     D = U diag(lam) U^T comes from ``eigh``, so in U's frame a step costs K
-    phase factors and one K x K matvec, with the inner half steps of
-    consecutive steps merged into U^T exp(-i H dt) U. Since -i CAP_K is
-    negative semidefinite, no step increases the norm beyond rounding.
+    phase factors exp(-i eps(tmid) lam dt) and one K x K matvec, with the
+    inner half steps of consecutive steps merged into U^T exp(-i H dt) U.
+    The phase factors come from the same truncated, scaled and squared
+    Taylor series as on the grid (``_FieldFactor``), exact to rounding. Since
+    -i CAP_K is negative semidefinite, no step increases the norm beyond
+    rounding.
     """
 
     def __init__(self, basis: VibrationalSpectrum, dipole, cap: CapSpec | None, dt: float):
@@ -245,7 +319,7 @@ class EigenStepper:
         # divide and conquer (evd) keeps U orthogonal to rounding; the 1e-13
         # error of the default MRRR (evr) would raise the norm at every step
         lam, u = sla.eigh(0.5 * (d + d.T), driver="evd")
-        self.dip_phase = -1j * dt * lam
+        self.field_factor = _FieldFactor(dt * lam)
         # everything is kept in U's frame: the basis rows U^T Phi, the half step
         # U^T exp(-i H dt/2) U and the merged full step, its square
         self.half = u.T @ sla.expm(-0.5j * dt * h) @ u
@@ -260,12 +334,10 @@ class EigenStepper:
         c = self.grid.dr * (self.phi @ psi.real + 1j * (self.phi @ psi.imag))
         c = self.half @ c
         buf = np.empty_like(c)
-        phase = np.empty_like(c)
-        for start, eps_mid in _midpoint_fields(field, t0, self.dt, n_steps):
-            for k, eps in enumerate(eps_mid, start):
-                c *= np.exp(np.multiply(eps, self.dip_phase, out=phase), out=phase)
-                np.matmul(self.half if k == n_steps - 1 else self.full, c, out=buf)
-                c, buf = buf, c
+        for k, factor in self.field_factor.steps(field, t0, self.dt, n_steps):
+            c *= factor
+            np.matmul(self.half if k == n_steps - 1 else self.full, c, out=buf)
+            c, buf = buf, c
         return self.phi.T @ c.real + 1j * (self.phi.T @ c.imag)
 
 

@@ -44,6 +44,8 @@ class ChirpedPulseParams:
     chirp: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in self.as_array()):
+            raise ValueError(f"pulse parameters must be finite, got {self}")
         if self.eps0 <= 0 or self.omega0 <= 0 or self.tau0 <= 0 or self.tau <= 0:
             raise ValueError(f"pulse parameters must be positive, got {self}")
 

@@ -356,6 +356,28 @@ class TestPulseSpectrum:
         err = capsys.readouterr().err
         assert err.startswith("error: [pulse] ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, old, new",
+                             [("propagate", "eps0 = 1e-30", "eps0 = nan"),
+                              ("pulse-spectrum", "tau0 = 1.5e5", "tau0 = inf"),
+                              ("pulse-spectrum", "chirp = 1e-12", "chirp = nan")])
+    def test_non_finite_pulse_value_is_a_one_line_error(self, tmp_path, capsys, command,
+                                                        old, new):
+        pulse = tmp_path / "bad_pulse.cfg"
+        pulse.write_text(TINY_PULSE.replace(old, new))
+        rc = main([command, "--preset", "desk", "--pulse", str(pulse),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [pulse] ") and err.count("\n") == 1
+
+    def test_non_finite_cap_strength_is_a_one_line_error(self, tmp_path, capsys):
+        config = tmp_path / "bad_cap.ini"
+        config.write_text(PRESETS["desk"].replace("eta = 5e-6", "eta = nan"))
+        rc = main(["eigensolve", "--config", str(config), "--out", str(tmp_path / "e")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [cap] ") and err.count("\n") == 1
+
     def test_more_elites_than_population_is_a_one_line_error(self, tmp_path, capsys):
         config = tmp_path / "bad_ga.ini"
         config.write_text(PRESETS["desk"].replace("population = 12", "population = 4")

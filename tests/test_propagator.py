@@ -11,6 +11,7 @@ from ladderdown.propagator import (
     PropagationBlowupError,
     SplitStepper,
     WavefunctionState,
+    _FieldFactor,
     cap_value,
     choose_time_step,
     populations,
@@ -125,6 +126,59 @@ class TestStepperRun:
         shifted = stepper.run(first, t0 + 701 * dt, 600, field)
         assert np.max(np.abs(whole - shifted)) > 1e-6
         assert grid.dr * np.sum(np.abs(whole) ** 2) < 1.0 - 1e-3
+
+
+class TestFieldFactor:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])  # -1: the phases of a negative dt
+    @pytest.mark.parametrize("theta", [0.0, 1e-3, 0.1, 0.49, 0.5, 0.51, 1.0, 3.0, 7.5, 20.0])
+    def test_matches_exp(self, theta, sign):
+        rng = np.random.default_rng(7)
+        a = sign * np.append(rng.uniform(-1.0, 1.0, 2000), 1.0)  # max|a| = 1
+        eps = theta * np.array([1.0, -0.3, 0.7, -1.0, 0.0])
+        field = lambda t: eps[np.floor(np.asarray(t)).astype(int)]
+        got = np.array([f.copy() for _, f in _FieldFactor(a).steps(field, 0.0, 1.0, eps.size)])
+        want = np.exp(-1j * eps[:, None] * a)
+        # each squaring doubles the rounding error of the halved phase, so above
+        # a few radians the error grows like theta, as exp's does with its argument
+        assert np.max(np.abs(got - want)) <= 2e-15 * max(1.0, theta / 2.0)
+
+    @pytest.mark.parametrize("eigen", [False, True])
+    def test_nan_field_at_one_midpoint_blows_up(self, harmonic_system, eigen):
+        grid, pot, dip, spectrum = harmonic_system
+        dt = 0.01
+        stepper = (EigenStepper(spectrum, dip, None, dt) if eigen
+                   else SplitStepper(grid, pot, dip, None, dt))
+
+        def field(t):
+            t = np.asarray(t)
+            return np.where(np.abs(t - 55.5 * dt) < 1e-9, np.nan, 0.02 * np.cos(t))
+
+        state = WavefunctionState(psi=spectrum.wavefunctions[0].astype(complex), t=0.0,
+                                  grid=grid)
+        with pytest.raises(PropagationBlowupError) as err:
+            propagate(state, field, stepper, t_max=1.0, sample_stride=10)
+        assert err.value.step_index == 60
+
+    @pytest.mark.parametrize("eps0", [0.5, 20.0])  # phases up to 0.04 and 1.6 rad
+    def test_grid_steps_match_an_exp_reference(self, harmonic_system, eps0):
+        grid, pot, dip, _ = harmonic_system
+        cap = CapSpec(r0=13.0, eta=1e-2)
+        field = as_field(ChirpedPulseParams(eps0=eps0, omega0=1.0, tau0=1.5, tau=0.5, chirp=0.05))
+        dt, t0, n = 1e-2, 0.3, 200
+        psi0 = gaussian_packet(grid.points, 10.0, 0.7, k0=4.0)
+        got = SplitStepper(grid, pot, dip, cap, dt).run(psi0.copy(), t0, n, field)
+        # the same Strang steps, written out with one exp per factor
+        r = grid.points
+        k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.dr)
+        kin_half = np.exp(-0.5j * dt * k**2 / (2.0 * grid.mu))
+        w = pot.value(r) + cap_value(cap, r)
+        psi = psi0.copy()
+        for j in range(n):
+            eps = field(t0 + (j + 0.5) * dt)
+            psi = np.fft.ifft(kin_half * np.fft.fft(psi))
+            psi *= np.exp(-1j * dt * (w + eps * dip.value(r)))
+            psi = np.fft.ifft(kin_half * np.fft.fft(psi))
+        assert np.max(np.abs(got - psi)) < 1e-13
 
 
 class TestStrangOrder:
