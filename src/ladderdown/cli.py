@@ -36,7 +36,14 @@ from .curves import (
     krb_standin_potential,
     load_tabulated,
 )
-from .dvr import RadialGrid, lifetime, sdme_map, solve_spectrum
+from .dvr import (
+    EmptySpectrumError,
+    RadialGrid,
+    VibrationalSpectrum,
+    lifetime,
+    sdme_map,
+    solve_spectrum,
+)
 from .ga import GaConfig, LadderProblem, SurrogateProblem, optimize
 from .propagator import CapSpec, SplitStepper, WavefunctionState, choose_time_step, propagate
 from .pulse import (
@@ -465,12 +472,27 @@ def _pulse_to_ini(p: ChirpedPulseParams) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _bound_spectrum(config: RunConfig, check_levels: bool = True) -> VibrationalSpectrum:
+    """The config's bound levels; an empty spectrum, or an initial level
+    (the top of the ladder) that is not bound, is a ConfigError."""
+    try:
+        spec = solve_spectrum(config.grid, config.potential)
+    except EmptySpectrumError:
+        raise ConfigError("[potential]: binds no level below 0 on this grid") from None
+    if check_levels and config.initial_level >= spec.bound_count:
+        raise ConfigError(
+            f"[levels] initial: level {config.initial_level} is not bound; "
+            f"the grid holds levels 0-{spec.bound_count - 1}"
+        )
+    return spec
+
+
 # --- commands ---------------------------------------------------------------
 
 
 def cmd_eigensolve(config: RunConfig, out_dir: str, with_wavefunctions: bool = False) -> dict:
+    spec = _bound_spectrum(config, check_levels=False)
     out = _prepare_out(out_dir)
-    spec = solve_spectrum(config.grid, config.potential)
     sd = sdme_map(spec, config.dipole)
 
     _write_csv(out, "energies.csv", ["level", "energy_hartree"], enumerate(spec.energies.tolist()))
@@ -498,9 +520,9 @@ def cmd_eigensolve(config: RunConfig, out_dir: str, with_wavefunctions: bool = F
 
 
 def cmd_propagate(config: RunConfig, out_dir: str, pulse_file: str | None = None) -> dict:
-    out = _prepare_out(out_dir)
     pulse = _resolve_pulse(config, pulse_file, "propagate")
-    spec = solve_spectrum(config.grid, config.potential)
+    spec = _bound_spectrum(config)
+    out = _prepare_out(out_dir)
     dt = config.dt or choose_time_step(
         config.grid, config.potential, config.dipole, config.cap, eps_max=pulse.eps0
     )
@@ -546,7 +568,6 @@ def cmd_optimize(
 ) -> dict:
     if threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
-    out = _prepare_out(out_dir)
     if config.ga is None:
         raise ConfigError("optimize needs a [ga] section")
     ga = config.ga
@@ -555,7 +576,7 @@ def cmd_optimize(
     ranges = ga.ranges
     spec = None
     if ranges is None or not surrogate:
-        spec = solve_spectrum(config.grid, config.potential)
+        spec = _bound_spectrum(config)
     if ranges is None:
         sd = sdme_map(spec, config.dipole)
         life_s = lifetime(spec, sd, config.initial_level)
@@ -578,6 +599,7 @@ def cmd_optimize(
         )
 
     cfg = ga.ga_config(ranges, used_seed)
+    out = _prepare_out(out_dir)
     best, history = optimize(cfg, problem, threads=threads)
     if not surrogate:
         problem.drop_stepper()  # whoever keeps the problem need not keep its basis
@@ -614,7 +636,8 @@ def cmd_pulse_spectrum(
     omega_min: float | None = None, omega_max: float | None = None,
     n_points: int = 2000, with_fft: bool = False,
 ) -> dict:
-    out = _prepare_out(out_dir)
+    if n_points < 2:
+        raise ConfigError(f"--points must be >= 2, got {n_points}")
     pulse = _resolve_pulse(config, pulse_file, "pulse-spectrum")
 
     sigma = bandwidth(pulse)
@@ -622,6 +645,7 @@ def cmd_pulse_spectrum(
     hi = omega_max if omega_max is not None else pulse.omega0 + 4.0 * sigma
     if not lo < hi:
         raise ConfigError(f"empty spectral range [{lo}, {hi}]")
+    out = _prepare_out(out_dir)
     w = np.linspace(lo, hi, n_points)
     spectra = {"spectrum.csv": (w, pulse_spectrum_values(pulse, w))}
     if with_fft:

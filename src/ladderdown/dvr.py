@@ -10,6 +10,13 @@ matrix has the closed form
 (hbar = 1). Diagonalizing T + diag(V) yields the vibrational energies and
 grid wavefunctions, from which the squared dipole matrix elements, Einstein
 coefficients, and radiative lifetimes follow by grid quadrature.
+
+The eigensolve runs the LAPACK steps of a by-value ``dsyevr`` in place, on the
+Hamiltonian's own storage: Householder tridiagonalization (``dsytrd``),
+bisection and inverse iteration for the levels below the threshold only
+(``dstebz``/``dstein``), and back-transformation of just those vectors
+(``dormqr`` on the stored reflectors). The Hamiltonian is consumed as
+workspace, and no other n x n array is made.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .constants import AU_TIME_S, C_AU
 
@@ -135,14 +143,37 @@ def solve_bound_states(
 ) -> VibrationalSpectrum:
     """All eigenpairs of ``h`` below ``threshold``, normalized and sign-fixed.
 
+    ``h`` must be symmetric and finite (ValueError otherwise); it is
+    overwritten, because its storage is the workspace of the solve. LAPACK
+    reduces it to tridiagonal form in place (``dsytrd``), finds the
+    eigenvalues below ``threshold`` by bisection and their vectors by inverse
+    iteration (``dstebz``/``dstein``), and applies the stored Householder
+    reflectors to those vectors only (``dormqr``). An ``h`` that is not a C- or
+    Fortran-contiguous float64 array is copied first, and the copy consumed.
+
     The default threshold 0 is the dissociation limit of every shipped
     potential. Raises EmptySpectrumError when nothing is bound.
     """
     # h is symmetric, so h.T is the same matrix in the column-major order that
-    # LAPACK reads; eigh then copies it plainly instead of transposing it.
-    energies, vecs = sla.eigh(h.T, subset_by_value=(-np.inf, threshold), driver="evr")
+    # LAPACK reads, and a C-ordered h is reduced where it lies.
+    a = np.asarray_chkfinite(h.T if h.flags.c_contiguous else h, dtype=float, order="F")
+    n = a.shape[0]
+    lwork, _ = lapack.dsytrd_lwork(n, lower=1)
+    _, d, e, tau, info = lapack.dsytrd(a, lower=1, lwork=int(lwork), overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsytrd failed, info = {info}")
+    energies, vecs = sla.eigh_tridiagonal(d, e, select="v", select_range=(-np.inf, threshold))
     if len(energies) == 0:
         raise EmptySpectrumError(f"no eigenvalue below threshold {threshold}")
+    # Reflector i lives in a[i+2:, i] below its implicit unit in a[i+1, i], so
+    # Q = diag(1, Q') with Q' the QR-form product held in a[1:, :n-1]. Viewed
+    # from offset one with the leading dimension n, that block is not copied.
+    refl = a.ravel(order="F")[1 : 1 + n * (n - 1)].reshape(n, n - 1, order="F")
+    _, work, info = lapack.dormqr("L", "N", refl, tau, vecs[1:], lwork=-1)
+    cq, _, info = lapack.dormqr("L", "N", refl, tau, vecs[1:], lwork=int(work[0]))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dormqr failed, info = {info}")
+    vecs[1:] = cq
     psi = vecs.T / np.sqrt(grid.dr)
     psi = np.array([_fix_sign(row) for row in psi])
     return VibrationalSpectrum(energies=energies, wavefunctions=psi, grid=grid)

@@ -228,6 +228,15 @@ class TestPropagate:
         with pytest.raises(ConfigError, match="pulse"):
             cmd_propagate(config, "/tmp/should_not_exist_out")
 
+    def test_rejected_pulse_leaves_no_output_directory(self, tmp_path, capsys):
+        pulse = tmp_path / "nan_pulse.cfg"
+        pulse.write_text(TINY_PULSE.replace("eps0 = 1e-30", "eps0 = nan"))
+        rc = main(["propagate", "--preset", "desk", "--pulse", str(pulse),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: [pulse] ")
+        assert not (tmp_path / "o").exists()
+
 
 class TestOptimize:
     def test_surrogate_mode_runs_fast_and_reproducibly(self, tmp_path):
@@ -295,6 +304,15 @@ class TestOptimize:
         with pytest.raises(ConfigError, match="ga"):
             cmd_optimize(config, str(tmp_path / "x"), surrogate=True)
 
+    def test_missing_ga_section_leaves_no_output_directory(self, tmp_path, capsys):
+        text = PRESETS["desk"]
+        config = tmp_path / "no_ga.ini"
+        config.write_text(text[:text.index("[ga]")] + text[text.index("[propagation]"):])
+        rc = main(["optimize", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: optimize needs a [ga] section\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestPulseSpectrum:
     def test_peak_row_at_center_frequency(self, tmp_path):
@@ -356,6 +374,23 @@ class TestPulseSpectrum:
         err = capsys.readouterr().err
         assert err.startswith("error: [pulse] ") and err.count("\n") == 1
 
+    def test_rejected_pulse_leaves_no_output_directory(self, tmp_path, capsys):
+        pulse = tmp_path / "bad_pulse.cfg"
+        pulse.write_text(TINY_PULSE.replace("eps0 = 1e-30", "eps0 = -1e-3"))
+        rc = main(["pulse-spectrum", "--preset", "old20", "--pulse", str(pulse),
+                   "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: [pulse] ")
+        assert not (tmp_path / "s").exists()
+
+    def test_fewer_than_two_points_is_a_one_line_error(self, tmp_path, capsys):
+        rc = main(["pulse-spectrum", "--preset", "old20", "--points", "-5",
+                   "--out", str(tmp_path / "p")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --points ") and err.count("\n") == 1
+        assert not (tmp_path / "p").exists()
+
     @pytest.mark.parametrize("command, old, new",
                              [("propagate", "eps0 = 1e-30", "eps0 = nan"),
                               ("pulse-spectrum", "tau0 = 1.5e5", "tau0 = inf"),
@@ -397,3 +432,29 @@ class TestPulseSpectrum:
         with pytest.raises(ConfigError):
             parse_config(PRESETS["desk"].replace(old, new))
 
+
+class TestSpectrumContradictions:
+    """Inputs that the bound spectrum contradicts: exit 2, one line, no output."""
+
+    def test_potential_without_bound_level(self, tmp_path, capsys):
+        config = tmp_path / "shallow.ini"
+        config.write_text(PRESETS["desk"].replace("de = 1.1e-3", "de = 1e-9"))
+        rc = main(["eigensolve", "--config", str(config), "--out", str(tmp_path / "e")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [potential]") and err.count("\n") == 1
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "propagate"])
+    def test_initial_level_above_the_bound_spectrum(self, tmp_path, capsys, command):
+        config = tmp_path / "high.ini"
+        config.write_text(PRESETS["desk"].replace("initial = 8", "initial = 40")
+                          .replace("ladder = 8, 6, 4, 2", "ladder = 40, 6, 4, 2"))
+        pulse = tmp_path / "pulse.cfg"
+        pulse.write_text(TINY_PULSE)
+        extra = ["--pulse", str(pulse)] if command == "propagate" else []
+        rc = main([command, "--config", str(config), "--out", str(tmp_path / "o")] + extra)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [levels] initial: level 40 ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()

@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from ladderdown.constants import AU_TIME_S, C_AU
+from ladderdown.constants import AU_TIME_S, C_AU, MU_K39RB87
 from ladderdown.curves import MorsePotential
 from ladderdown.dvr import (
     EmptySpectrumError,
     RadialGrid,
     SdmeMap,
     VibrationalSpectrum,
+    _fix_sign,
     build_hamiltonian,
     einstein_rate,
     lifetime,
@@ -134,6 +137,84 @@ class TestBoundStates:
         h = build_hamiltonian(grid, ZeroPotential())
         with pytest.raises(EmptySpectrumError):
             solve_bound_states(h, grid, threshold=-1.0)
+
+
+def _dense_reference(h, grid, threshold):
+    """Bound levels of ``h`` from a dense eigh of a copy, with the sign rule."""
+    w, v = sla.eigh(h.copy())
+    below = w < threshold
+    psi = np.array([_fix_sign(col) for col in v[:, below].T / np.sqrt(grid.dr)])
+    return w, below, psi
+
+
+class TestInPlaceSolve:
+    """solve_bound_states consumes h and must agree with a dense eigh of it."""
+
+    @pytest.fixture(params=["desk", "harmonic"])
+    def case(self, request, desk_grid, standin_potential):
+        if request.param == "desk":
+            return desk_grid, standin_potential, 0.0
+        return (RadialGrid(r_min=2.0, r_max=18.0, n_points=256, mu=1.0),
+                HarmonicPotential(mu=1.0, w=1.0, r0=10.0), 12.0)
+
+    def test_matches_dense_eigh(self, case):
+        grid, pot, threshold = case
+        h = build_hamiltonian(grid, pot)
+        w, below, psi = _dense_reference(h, grid, threshold)
+        spectrum = solve_bound_states(h, grid, threshold)
+        assert spectrum.bound_count == np.count_nonzero(below)
+        # both are backward stable, so they agree to rounding of the largest |E|
+        assert np.max(np.abs(spectrum.energies - w[below])) < 1e-14 * np.max(np.abs(w))
+        assert np.max(np.abs(spectrum.wavefunctions - psi)) < 1e-10
+
+    def test_count_at_thresholds_either_side_of_a_level(self, case):
+        grid, pot, _ = case
+        w = sla.eigvalsh(build_hamiltonian(grid, pot))
+        for j in (0, 5, 11):
+            delta = 1e-3 * (w[j + 1] - w[j])
+            above = solve_bound_states(build_hamiltonian(grid, pot), grid, w[j] + delta)
+            assert above.bound_count == np.count_nonzero(w < w[j] + delta) == j + 1
+            if j == 0:
+                with pytest.raises(EmptySpectrumError):
+                    solve_bound_states(build_hamiltonian(grid, pot), grid, w[j] - delta)
+            else:
+                below = solve_bound_states(build_hamiltonian(grid, pot), grid, w[j] - delta)
+                assert below.bound_count == np.count_nonzero(w < w[j] - delta) == j
+
+    def test_scratch_is_small_next_to_h(self, standin_potential):
+        # production range and mass, n = 2000: a by-value eigh allocates 2.0 x h
+        grid = RadialGrid(r_min=6.0, r_max=146.0, n_points=2000, mu=MU_K39RB87)
+        h = build_hamiltonian(grid, standin_potential)
+        size = h.nbytes
+        tracemalloc.start()
+        try:
+            spectrum = solve_bound_states(h, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spectrum.bound_count == 30
+        assert peak < 0.25 * size
+
+    def test_nan_in_h_raises_value_error(self, desk_grid, standin_potential):
+        h = build_hamiltonian(desk_grid, standin_potential)
+        h[5, 7] = np.nan
+        with pytest.raises(ValueError):
+            solve_bound_states(h, desk_grid)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_non_c_contiguous_h_gives_the_same_spectrum(self, layout, desk_grid,
+                                                         standin_potential, desk_spectrum):
+        h = build_hamiltonian(desk_grid, standin_potential)
+        if layout == "fortran":
+            h = np.asfortranarray(h)
+        else:
+            wide = np.zeros((2 * len(h), 2 * len(h)))
+            wide[::2, ::2] = h
+            h = wide[::2, ::2]
+        spectrum = solve_bound_states(h, desk_grid)
+        assert spectrum.bound_count == desk_spectrum.bound_count
+        assert np.max(np.abs(spectrum.energies - desk_spectrum.energies)) < 1e-18
+        assert np.max(np.abs(spectrum.wavefunctions - desk_spectrum.wavefunctions)) < 1e-10
 
 
 class TestSdme:
