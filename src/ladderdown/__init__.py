@@ -33,7 +33,6 @@ from .ga import (
     Individual,
     LadderProblem,
     SurrogateProblem,
-    evaluate_fitness,
     evolve_generation,
     init_population,
     optimize,

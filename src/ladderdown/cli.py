@@ -30,8 +30,10 @@ import scipy
 from . import __version__
 from .constants import AU_ANGFREQ_RAD_PER_S, AU_TIME_S, MU_K39RB87
 from .curves import (
+    CurveError,
     ExpRampDipole,
     MorsePotential,
+    TabulatedCurve,
     krb_standin_dipole,
     krb_standin_potential,
     load_tabulated,
@@ -49,6 +51,8 @@ from .propagator import CapSpec, SplitStepper, WavefunctionState, choose_time_st
 from .pulse import (
     GENE_NAMES,
     ChirpedPulseParams,
+    ChirpSignError,
+    HeuristicRangeError,
     ParamRanges,
     bandwidth,
     duration,
@@ -265,7 +269,7 @@ def _get(cp, section, key, cast, default=_REQUIRED):
         return cast(raw)
     except ValueError:
         raise ConfigError(
-            f"[{section}] {key}: cannot parse {raw!r} as {cast.__name__}"
+            f"[{section}] {key}: cannot parse {raw!r} as {_EXPECTED[cast]}"
         ) from None
 
 
@@ -285,7 +289,39 @@ def _parse_pair(raw: str) -> tuple[float, float]:
 
 
 def _parse_ladder(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+    ladder = tuple(int(tok) for tok in raw.replace(",", " ").split())
+    if not ladder:
+        raise ValueError(raw)
+    return ladder
+
+
+# what _get names as the expected form of a value that does not parse
+_EXPECTED = {int: "an integer", float: "a number", _parse_pair: "a pair of numbers",
+             _parse_ladder: "a list of integers"}
+
+
+def _read_text(path: str, what: str) -> str:
+    """The text of the --config or --pulse file; an unreadable one is a ConfigError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{what} {path}: {exc.strerror}") from None
+
+
+def _load_curve(section: str, path: str, grid: RadialGrid) -> TabulatedCurve:
+    """The [potential] or [dipole] table; it must cover the whole grid."""
+    try:
+        curve = load_tabulated(path)
+    except OSError as exc:
+        raise ConfigError(f"[{section}] file {path}: {exc.strerror}") from None
+    except CurveError as exc:
+        raise ConfigError(f"[{section}] file: {exc}") from None
+    if curve.r[0] > grid.r_min or curve.r[-1] < grid.r_max:
+        raise ConfigError(
+            f"[{section}] file {path}: the table spans [{curve.r[0]:g}, {curve.r[-1]:g}] bohr "
+            f"and does not cover the grid [{grid.r_min:g}, {grid.r_max:g}]"
+        )
+    return curve
 
 
 def _read_ini(text: str) -> configparser.ConfigParser:
@@ -317,7 +353,7 @@ def parse_config(text: str) -> RunConfig:
 
     model = _get(cp, "potential", "model", str, "morse").strip().lower()
     if cp.has_option("potential", "file"):
-        potential = load_tabulated(_get(cp, "potential", "file", str), kind="potential")
+        potential = _load_curve("potential", _get(cp, "potential", "file", str), grid)
     elif model == "morse":
         potential = _build(
             "potential", MorsePotential,
@@ -329,7 +365,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"[potential] model: unknown model {model!r}")
 
     if cp.has_option("dipole", "file"):
-        dipole = load_tabulated(_get(cp, "dipole", "file", str), kind="dipole")
+        dipole = _load_curve("dipole", _get(cp, "dipole", "file", str), grid)
     else:
         dmodel = _get(cp, "dipole", "model", str, "ramp").strip().lower()
         if dmodel != "ramp":
@@ -375,6 +411,9 @@ def parse_config(text: str) -> RunConfig:
             f.name: _get(cp, "ga", f.name, type(f.default), f.default)
             for f in fields(GaSettings)[1:]
         })
+        if not 1.0 < ga.tau_span < math.inf:
+            # tau_hi = tau_span * tau_lo, so the heuristic tau range needs tau_span > 1
+            raise ConfigError(f"[ga] tau_span: must be > 1 and finite, got {ga.tau_span}")
         _build("ga", ga.ga_config, ranges, ga.seed)  # GaConfig's checks, before any solve
 
     dt = _get(cp, "propagation", "dt", float, None)
@@ -407,7 +446,7 @@ def load_config(path: str | None, preset: str | None) -> RunConfig:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
         return parse_config(PRESETS[preset])
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    return parse_config(_read_text(path, "--config"))
 
 
 # --- output helpers ---------------------------------------------------------
@@ -457,7 +496,7 @@ def _resolve_pulse(
 ) -> ChirpedPulseParams:
     """The --pulse file's [pulse] if given, else the config's."""
     if pulse_file:
-        pulse = _parse_pulse(_read_ini(Path(pulse_file).read_text(encoding="utf-8")))
+        pulse = _parse_pulse(_read_ini(_read_text(pulse_file, "--pulse")))
         if pulse is None:
             raise ConfigError(f"{pulse_file}: no [pulse] section")
         return pulse
@@ -537,7 +576,7 @@ def cmd_propagate(config: RunConfig, out_dir: str, pulse_file: str | None = None
 
     _write_csv(
         out, "timeseries.csv",
-        ["t_au", "t_ns", "field_au"] + [f"p_{v}" for v in rec.levels]
+        ["t_au", "t_ns", "field_au"] + [f"p_{v}" for v in range(spec.bound_count)]
         + ["total_bound", "norm", "dissociation"],
         np.column_stack([rec.times, rec.times * AU_TIME_S * 1e9, rec.field_values,
                          rec.populations, rec.total_bound, rec.norm, rec.dissociation]).tolist(),
@@ -572,6 +611,8 @@ def cmd_optimize(
         raise ConfigError("optimize needs a [ga] section")
     ga = config.ga
     used_seed = ga.seed if seed is None else seed
+    if used_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {used_seed}")
 
     ranges = ga.ranges
     spec = None
@@ -580,10 +621,15 @@ def cmd_optimize(
     if ranges is None:
         sd = sdme_map(spec, config.dipole)
         life_s = lifetime(spec, sd, config.initial_level)
-        ranges = heuristic_ranges(
-            spec, config.initial_level, config.ladder,
-            lifetime_au=life_s / AU_TIME_S, sdme=sd, tau_span=ga.tau_span,
-        )
+        try:
+            ranges = heuristic_ranges(
+                spec, config.initial_level, config.ladder,
+                lifetime_au=life_s / AU_TIME_S, sdme=sd, tau_span=ga.tau_span,
+            )
+        except ChirpSignError as exc:
+            raise ConfigError(f"[levels] ladder: {exc}") from None
+        except HeuristicRangeError as exc:
+            raise ConfigError(f"[ga] heuristic ranges: {exc}") from None
 
     if surrogate:
         problem = SurrogateProblem.from_ranges(ranges)

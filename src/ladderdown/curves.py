@@ -126,16 +126,13 @@ class TabulatedCurve:
         return out[()] if out.ndim == 0 else out
 
 
-def load_tabulated(path, kind: str = "potential") -> TabulatedCurve:
+def load_tabulated(path) -> TabulatedCurve:
     """Read a two-column (r, value) text file into a TabulatedCurve.
 
-    Columns may be separated by whitespace or commas; lines starting with
-    '#' are comments. Values are taken verbatim in atomic units. ``kind``
-    is accepted for call-site clarity ("potential" or "dipole"); both kinds
-    share the same file format.
+    Potentials and dipoles share this format. Columns may be separated by
+    whitespace or commas; text after '#' is a comment. Values are taken
+    verbatim in atomic units.
     """
-    if kind not in ("potential", "dipole"):
-        raise ValueError(f"kind must be 'potential' or 'dipole', got {kind!r}")
     path = Path(path)
     rs: list[float] = []
     vs: list[float] = []

@@ -207,20 +207,14 @@ def einstein_rate(spectrum: VibrationalSpectrum, sdme: SdmeMap, i: int, v: int) 
     return a_au / AU_TIME_S
 
 
-def lifetime(
-    spectrum: VibrationalSpectrum, sdme: SdmeMap, i: int, printed_convention: bool = False
-) -> float:
-    """Radiative lifetime of level i in seconds.
+def lifetime(spectrum: VibrationalSpectrum, sdme: SdmeMap, i: int) -> float:
+    """Radiative lifetime of level i in seconds, tau = 1 / sum_v A_iv.
 
-    Default is the parallel-channel result tau = 1 / sum_v A_iv. The
-    ``printed_convention`` flag instead sums inverse rates channel by
-    channel (tau = sum_v 1/A_iv), for comparison only. Either way, a level
-    with no open decay channel gets the math.inf sentinel.
+    The decay channels to every lower level v act in parallel. A level with
+    no open decay channel gets the math.inf sentinel.
     """
     if not 1 <= i < spectrum.bound_count:
         raise ValueError(f"need a bound level i >= 1, got i={i}")
     rates = np.array([einstein_rate(spectrum, sdme, i, v) for v in range(i)])
-    if printed_convention:
-        return float("inf") if np.any(rates == 0) else float(np.sum(1.0 / rates))
     total = float(np.sum(rates))
     return float("inf") if total == 0 else 1.0 / total

@@ -31,6 +31,9 @@ from .propagator import (
 )
 from .pulse import GENE_NAMES, ChirpedPulseParams, ParamRanges, duration
 
+# std dev of a mutation kick, as a fraction of the gene's range width
+_MUTATION_SCALE = 0.1
+
 
 @dataclass
 class Individual:
@@ -49,7 +52,6 @@ class GaConfig:
     elite_count: int = 5
     crossover_prob: float = 0.25
     mutation_prob: float = 0.9
-    mutation_scale: float = 0.1  # std dev of a mutation, as a fraction of range width
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -144,24 +146,21 @@ class SurrogateProblem:
     """Closed-form stand-in fitness: a Gaussian bump over the gene box.
 
     Evaluates in microseconds, so optimizer mechanics can be exercised
-    end-to-end without any propagation.
+    end-to-end without any propagation. ``from_ranges`` puts the peak, of
+    height 1, at 60% of each range, with a width of the whole range.
     """
 
     center: np.ndarray
     width: np.ndarray
 
     @classmethod
-    def from_ranges(cls, ranges: ParamRanges, offset: float = 0.6,
-                    rel_width: float = 1.0) -> "SurrogateProblem":
+    def from_ranges(cls, ranges: ParamRanges) -> "SurrogateProblem":
         los, his = ranges.as_arrays()
-        return cls(center=los + offset * (his - los), width=rel_width * (his - los))
+        return cls(center=los + 0.6 * (his - los), width=his - los)
 
     def evaluate(self, params: ChirpedPulseParams) -> float:
         z = (params.as_array() - self.center) / self.width
         return float(np.exp(-np.sum(z * z)))
-
-    def maximum(self) -> float:
-        return 1.0
 
 
 def _safe_evaluate(problem, genes) -> tuple[float, bool]:
@@ -169,14 +168,6 @@ def _safe_evaluate(problem, genes) -> tuple[float, bool]:
         return problem.evaluate(ChirpedPulseParams.from_array(genes)), False
     except PropagationBlowupError:
         return 0.0, True
-
-
-def evaluate_fitness(individual: Individual, problem) -> float:
-    """Score one individual in place; blow-ups degrade to zero fitness."""
-    j, failed = _safe_evaluate(problem, individual.params.as_array())
-    individual.fitness = j
-    individual.failed = failed
-    return j
 
 
 # set once in each worker process of optimize's pool, by _init_worker
@@ -205,23 +196,14 @@ def _evaluate_population(population: list[Individual], score, history: GaHistory
     history.evaluations += len(todo)
 
 
-def init_population(ranges: ParamRanges, n: int, rng_seed: int) -> list[Individual]:
-    """n individuals with genes drawn uniformly from their ranges."""
-    return _draw_population(ranges, n, np.random.default_rng(rng_seed))
-
-
-def _draw_population(ranges: ParamRanges, n: int, rng: np.random.Generator):
+def init_population(ranges: ParamRanges, n: int,
+                    rng: np.random.Generator) -> list[Individual]:
+    """n unscored individuals, each with its five genes drawn uniformly from their ranges."""
     los, his = ranges.as_arrays()
     return [
         Individual(params=ChirpedPulseParams.from_array(rng.uniform(los, his)))
         for _ in range(n)
     ]
-
-
-def random_params(ranges: ParamRanges, rng_seed: int) -> ChirpedPulseParams:
-    """One unoptimized chromosome, uniform over the search box."""
-    los, his = ranges.as_arrays()
-    return ChirpedPulseParams.from_array(np.random.default_rng(rng_seed).uniform(los, his))
 
 
 def roulette_pick(fitness: np.ndarray, rng: np.random.Generator) -> int:
@@ -285,7 +267,7 @@ def evolve_generation(population: list[Individual], cfg: GaConfig,
         genes = ind.params.as_array()
         for g in range(len(genes)):
             if rng.random() < cfg.mutation_prob:
-                genes[g] += rng.normal(0.0, cfg.mutation_scale * widths[g])
+                genes[g] += rng.normal(0.0, _MUTATION_SCALE * widths[g])
         ind.params = ChirpedPulseParams.from_array(np.clip(genes, los, his))
         ind.fitness = None
         ind.failed = False
@@ -310,7 +292,7 @@ def optimize(cfg: GaConfig, problem, threads: int = 1) -> tuple[Individual, GaHi
                 initializer=_init_worker, initargs=(problem,),
             ))
             score = partial(pool.map, _worker_evaluate)
-        population = _draw_population(cfg.ranges, cfg.population_size, rng)
+        population = init_population(cfg.ranges, cfg.population_size, rng)
         _evaluate_population(population, score, history)
         history.record(population)
         for _ in range(cfg.generations - 1):

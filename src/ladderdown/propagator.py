@@ -123,22 +123,19 @@ class PopulationSnapshot:
     dissociation: float
 
 
-def populations(
-    state: WavefunctionState, spectrum: VibrationalSpectrum, levels=None
-) -> PopulationSnapshot:
-    """p_v = |<v|Psi>|^2 for the requested levels (default: all bound).
+def populations(state: WavefunctionState, spectrum: VibrationalSpectrum) -> PopulationSnapshot:
+    """p_v = |<v|Psi>|^2 for every bound level v of ``spectrum``.
 
-    total_bound always sums over every bound level; dissociation is the
-    flux the absorber has removed, 1 - norm.
+    total_bound sums them; dissociation is the flux the absorber has
+    removed, 1 - norm.
     """
     # real @ complex would copy the real levels to complex; split instead
     phi = spectrum.wavefunctions
-    all_pops = state.grid.dr**2 * ((phi @ state.psi.real) ** 2 + (phi @ state.psi.imag) ** 2)
-    pops = all_pops if levels is None else all_pops[list(levels)]
+    pops = state.grid.dr**2 * ((phi @ state.psi.real) ** 2 + (phi @ state.psi.imag) ** 2)
     norm = state.norm()
     return PopulationSnapshot(
         populations=pops,
-        total_bound=float(np.sum(all_pops)),
+        total_bound=float(np.sum(pops)),
         norm=norm,
         dissociation=1.0 - norm,
     )
@@ -148,9 +145,9 @@ def populations(
 class PropagationRecord:
     """Sampled observables of one propagation run.
 
-    ``populations[k]`` holds p_v at ``times[k]`` for each entry of
-    ``levels`` (empty when no spectrum was supplied). The final state is
-    kept for fitness evaluation and restarts.
+    ``populations[k, v]`` holds p_v at ``times[k]`` for every bound level v
+    of the spectrum (no columns when no spectrum was supplied). The final
+    state is kept for fitness evaluation and restarts.
     """
 
     times: np.ndarray
@@ -159,7 +156,6 @@ class PropagationRecord:
     total_bound: np.ndarray
     norm: np.ndarray
     dissociation: np.ndarray
-    levels: tuple
     final_state: WavefunctionState
     steps: int
     dt: float
@@ -348,7 +344,6 @@ def propagate(
     t_max: float,
     sample_stride: int = 1,
     spectrum: VibrationalSpectrum | None = None,
-    levels=None,
 ) -> PropagationRecord:
     """Propagate with ``stepper`` until t >= t_max, sampling observables.
 
@@ -356,9 +351,8 @@ def propagate(
     the state's grid with dt > 0. ``field`` may be a callable eps(t), a
     ChirpedPulseParams, or None for field-free steps. Observables are
     recorded at the start, every ``sample_stride`` steps, and at the final
-    step. Populations require ``spectrum``; ``levels`` selects which of its
-    bound levels to record (default all). Raises PropagationBlowupError if
-    the norm goes non-finite.
+    step. With ``spectrum``, every sample holds the population of each of its
+    bound levels. Raises PropagationBlowupError if the norm goes non-finite.
     """
     dt = stepper.dt
     if dt <= 0:
@@ -371,16 +365,12 @@ def propagate(
         field = as_field(field)
     n_steps = max(1, math.ceil((t_max - state.t) / dt - 1e-12))
 
-    if levels is None and spectrum is not None:
-        levels = tuple(range(spectrum.bound_count))
-    levels = tuple(levels) if levels is not None else ()
-
     times, fields_out, pops, totals, norms = [], [], [], [], []
 
     def record(psi: np.ndarray, t: float, step_index: int):
         st = WavefunctionState(psi=psi, t=t, grid=state.grid)
         if spectrum is not None:
-            snap = populations(st, spectrum, levels)
+            snap = populations(st, spectrum)
             pops.append(snap.populations)
             totals.append(snap.total_bound)
             n = snap.norm
@@ -409,7 +399,6 @@ def propagate(
         total_bound=np.array(totals) if totals else np.full(len(times), np.nan),
         norm=norm_arr,
         dissociation=1.0 - norm_arr,
-        levels=levels,
         final_state=WavefunctionState(psi=psi, t=state.t + done * dt, grid=state.grid),
         steps=n_steps,
         dt=dt,
@@ -417,17 +406,11 @@ def propagate(
 
 
 def choose_time_step(
-    grid: RadialGrid,
-    potential,
-    dipole,
-    cap: CapSpec | None,
-    eps_max: float = 0.0,
-    pot_phase: float = 0.1,
-    kin_phase: float = 1.0,
+    grid: RadialGrid, potential, dipole, cap: CapSpec | None, eps_max: float = 0.0
 ) -> float:
-    """Default dt: potential phase < pot_phase rad, Nyquist kinetic phase
-    < kin_phase rad per step. A starting point; refine_time_step tightens
-    it against actual dynamics."""
+    """Default dt: a potential phase below 0.1 rad and a Nyquist kinetic
+    phase below 1 rad per step, with the field at eps_max. A heuristic;
+    nothing checks the convergence of the dt it returns."""
     r = grid.points
     w = np.abs(potential.value(r)) + (
         eps_max * np.abs(dipole.value(r)) if dipole is not None else 0.0
@@ -435,37 +418,6 @@ def choose_time_step(
     if cap is not None:
         w = w + np.abs(cap_value(cap, r))
     k_nyq = math.pi / grid.dr
-    dt_pot = pot_phase / float(np.max(w))
-    dt_kin = kin_phase / (k_nyq**2 / (2.0 * grid.mu))
+    dt_pot = 0.1 / float(np.max(w))
+    dt_kin = 1.0 / (k_nyq**2 / (2.0 * grid.mu))
     return min(dt_pot, dt_kin)
-
-
-def refine_time_step(
-    state: WavefunctionState,
-    field,
-    potential,
-    dipole,
-    cap: CapSpec | None,
-    t_max: float,
-    spectrum: VibrationalSpectrum,
-    dt0: float | None = None,
-    tol: float = 1.0e-6,
-    max_halvings: int = 12,
-) -> float:
-    """Halve dt until the final bound populations move by less than tol."""
-    dt = dt0 if dt0 is not None else choose_time_step(grid=state.grid, potential=potential,
-                                                      dipole=dipole, cap=cap)
-
-    def final_pops(dt_try: float) -> np.ndarray:
-        stepper = SplitStepper(state.grid, potential, dipole, cap, dt_try)
-        rec = propagate(state, field, stepper, t_max, sample_stride=10**9, spectrum=spectrum)
-        return rec.populations[-1]
-
-    prev = final_pops(dt)
-    for _ in range(max_halvings):
-        cur = final_pops(dt / 2.0)
-        if float(np.max(np.abs(cur - prev))) < tol:
-            return dt
-        dt /= 2.0
-        prev = cur
-    raise RuntimeError(f"time step did not self-converge after {max_halvings} halvings")

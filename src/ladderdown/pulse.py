@@ -79,10 +79,6 @@ class ParamRanges:
         los, his = zip(*(getattr(self, f.name) for f in fields(self)))
         return np.array(los), np.array(his)
 
-    def clip(self, genes) -> np.ndarray:
-        los, his = self.as_arrays()
-        return np.clip(genes, los, his)
-
 
 def amplitude(p: ChirpedPulseParams, t):
     """Field eps(t) = eps0 * exp(-(t-tau0)^2/2tau^2) * cos(phase)."""
@@ -126,16 +122,17 @@ def duration(p: ChirpedPulseParams) -> float:
     return p.tau0 + 4.0 * p.tau
 
 
-def fft_spectrum(p: ChirpedPulseParams, n_widths: float = 8.0, oversample: int = 8,
-                 pad_factor: int = 8):
+def fft_spectrum(p: ChirpedPulseParams):
     """Discrete Fourier spectrum |FT eps|^2 of the sampled waveform.
 
-    Samples the field over tau0 +- n_widths*tau and returns the positive
+    Samples the field over tau0 +- 8 tau and returns the positive
     frequency axis (angular, a.u.) with the squared transform magnitude.
-    Zero-padding by ``pad_factor`` interpolates the line shape finely
-    enough to read peak and width off the grid. Serves as the model-free
-    cross-check of the analytic spectrum().
+    Zero-padding eightfold interpolates the line shape finely enough to
+    read peak and width off the grid. Serves as the model-free cross-check
+    of the analytic spectrum().
     """
+    # sampled 8 times finer than the Nyquist rate of the highest frequency
+    n_widths, oversample, pad_factor = 8.0, 8, 8
     w_highest = abs(p.omega0) + abs(p.chirp) * n_widths * p.tau + 10.0 / p.tau
     dt = 2.0 * math.pi / (2.0 * oversample * w_highest)
     n = int(math.ceil(2.0 * n_widths * p.tau / dt))
@@ -168,7 +165,8 @@ def heuristic_ranges(
     The ladder is the descending level sequence the pulse should drive,
     starting at ``i``. Its successive transition energies must increase
     (that is what a positive chirp sweeps through); otherwise
-    ChirpSignError is raised.
+    ChirpSignError is raised. A ladder of one rung has no frequency span,
+    and raises HeuristicRangeError.
 
     Bounds, following the bandwidth/chirp/Rabi reasoning:
 
@@ -189,6 +187,10 @@ def heuristic_ranges(
     if ladder[0] != i:
         raise ValueError(f"ladder must start at the initial level {i}, got {ladder[0]}")
     gaps = _ladder_gaps(spectrum.energies, ladder)
+    if len(gaps) < 2:
+        raise HeuristicRangeError(
+            f"a ladder of one rung {list(ladder)} spans no frequency range to chirp over"
+        )
     if np.any(np.diff(gaps) <= 0):
         raise ChirpSignError(
             f"ladder transition energies must strictly increase for a positive "

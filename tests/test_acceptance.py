@@ -18,7 +18,14 @@ from ladderdown.dvr import (
     solve_bound_states,
     solve_spectrum,
 )
-from ladderdown.ga import GaConfig, LadderProblem, SurrogateProblem, optimize, random_params, roulette_pick
+from ladderdown.ga import (
+    GaConfig,
+    LadderProblem,
+    SurrogateProblem,
+    init_population,
+    optimize,
+    roulette_pick,
+)
 from ladderdown.propagator import CapSpec, SplitStepper, WavefunctionState, propagate
 from ladderdown.pulse import (
     ChirpSignError,
@@ -173,7 +180,7 @@ def test_criterion_4_rabi_oracle():
     state = WavefunctionState(psi=spec.wavefunctions[0].astype(complex), t=0.0, grid=grid)
     rec = propagate(state, lambda t: eps * np.cos(w01 * np.asarray(t)),
                     SplitStepper(grid, pot, dip, None, 0.25), t_max=0.75 * period, sample_stride=20,
-                    spectrum=spec, levels=[0, 1])
+                    spectrum=spec)
     p0 = rec.populations[:, 0]
     t_half = rec.times[int(np.argmin(p0))]
     err = abs(t_half - period / 2.0) / (period / 2.0)
@@ -264,7 +271,7 @@ def test_criterion_7_ga_mechanics():
         cfg = GaConfig(ranges=ranges, population_size=40, generations=50,
                        elite_count=5, rng_seed=seed)
         best, _ = optimize(cfg, surrogate)
-        reached += best.fitness >= 0.99 * surrogate.maximum()
+        reached += best.fitness >= 0.99  # the surrogate peaks at 1
     checks.append((f"surrogate optimum reached on {reached}/10 seeds", reached == 10))
 
     runtime = time.perf_counter() - t0
@@ -290,7 +297,8 @@ def ladder_descent_run(desk_grid, desk_spectrum, desk_sdme, standin_potential,
     best, history = optimize(cfg, problem)
 
     random_scores = sorted(
-        problem.evaluate(random_params(ranges, seed)) for seed in range(100, 110)
+        problem.evaluate(init_population(ranges, 1, np.random.default_rng(seed))[0].params)
+        for seed in range(100, 110)
     )
     state = WavefunctionState(
         psi=desk_spectrum.wavefunctions[8].astype(complex), t=0.0, grid=desk_grid

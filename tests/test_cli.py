@@ -2,6 +2,7 @@ import configparser
 import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ tau0 = 1.5e5
 tau = 5e4
 chirp = 1e-12
 """
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def read_csv(path):
@@ -282,6 +286,24 @@ class TestOptimize:
         b = result["history"].best_fitness
         assert all(later >= earlier for earlier, later in zip(b, b[1:]))
 
+    def test_surrogate_run_keeps_its_random_stream(self, tmp_path):
+        # a stored run: any change to the order or the scale of the GA's
+        # random draws moves its genes
+        assert main(["optimize", "--preset", "old20", "--surrogate", "--seed", "5",
+                     "--out", str(tmp_path / "o")]) == 0
+        stored = DATA / "old20-surrogate-seed5"
+        _, got = read_csv(tmp_path / "o" / "history.csv")
+        _, want = read_csv(stored / "history.csv")
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got[:, 0], want[:, 0])
+        np.testing.assert_allclose(got[:, 1:4], want[:, 1:4], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[:, 4:], want[:, 4:], rtol=1e-12, atol=0)
+        best, stored_best = configparser.ConfigParser(), configparser.ConfigParser()
+        best.read(tmp_path / "o" / "best_pulse.cfg")
+        stored_best.read(stored / "best_pulse.cfg")
+        for gene, value in stored_best["pulse"].items():
+            assert float(best["pulse"][gene]) == pytest.approx(float(value), rel=1e-12)
+
     def test_summary_reports_uniform_fallbacks(self, tmp_path):
         config = load_config(None, "old20")
         result = cmd_optimize(config, str(tmp_path / "u"), surrogate=True, seed=5)
@@ -458,3 +480,71 @@ class TestSpectrumContradictions:
         err = capsys.readouterr().err
         assert err.startswith("error: [levels] initial: level 40 ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+
+def _desk_config(tmp_path, old, new):
+    text = PRESETS["desk"]
+    assert old in text
+    path = tmp_path / "run.ini"
+    path.write_text(text.replace(old, new))
+    return ["--config", str(path)]
+
+
+def _desk_table(tmp_path, model_line, rows):
+    """The desk config with [potential] or [dipole] read from a table of rows."""
+    table = tmp_path / "curve.dat"
+    table.write_text("".join(f"{row}\n" for row in rows))
+    return _desk_config(tmp_path, model_line, f"file = {table}")
+
+
+# (command, argv builder taking tmp_path, text the one error line must contain)
+_REJECTED_INPUTS = {
+    "empty-ladder": ("eigensolve", lambda tp: _desk_config(
+        tp, "ladder = 8, 6, 4, 2", "ladder ="), "[levels] ladder: "),
+    "ladder-not-integers": ("eigensolve", lambda tp: _desk_config(
+        tp, "ladder = 8, 6, 4, 2", "ladder = 8, x, 2"), "as a list of integers"),
+    "range-not-a-pair": ("eigensolve", lambda tp: _desk_config(
+        tp, "tau_span = 2.5", "tau_span = 2.5\neps0_range = 1e-3"), "as a pair of numbers"),
+    "tau-span-below-one": ("optimize", lambda tp: _desk_config(
+        tp, "tau_span = 2.5", "tau_span = 0.5"), "[ga] tau_span: "),
+    "tau-span-negative": ("optimize", lambda tp: _desk_config(
+        tp, "tau_span = 2.5", "tau_span = -1"), "[ga] tau_span: "),
+    "tau-span-infinite": ("optimize", lambda tp: _desk_config(
+        tp, "tau_span = 2.5", "tau_span = inf"), "[ga] tau_span: "),
+    "ladder-gaps-shrink": ("optimize", lambda tp: _desk_config(
+        tp, "ladder = 8, 6, 4, 2", "ladder = 8, 5, 4, 2"), "[levels] ladder: "),
+    "ladder-of-one-rung": ("optimize", lambda tp: _desk_config(
+        tp, "ladder = 8, 6, 4, 2", "ladder = 8, 2"), "[ga] heuristic ranges: "),
+    "negative-seed": ("optimize", lambda tp: ["--preset", "old20", "--surrogate",
+                                              "--seed", "-1"], "seed must be >= 0"),
+    "missing-config": ("eigensolve", lambda tp: ["--config", str(tp / "nowhere.ini")],
+                       "--config "),
+    "missing-pulse": ("propagate", lambda tp: ["--preset", "desk", "--pulse",
+                                               str(tp / "nowhere.cfg")], "--pulse "),
+    "missing-potential-table": ("eigensolve", lambda tp: _desk_config(
+        tp, "model = morse", f"file = {tp / 'nowhere.dat'}"), "[potential] file "),
+    "missing-dipole-table": ("eigensolve", lambda tp: _desk_config(
+        tp, "model = ramp", f"file = {tp / 'nowhere.dat'}"), "[dipole] file "),
+    "malformed-potential-table": ("eigensolve", lambda tp: _desk_table(
+        tp, "model = morse", ["8 -1e-3", "20 oops", "40 -1e-4", "68 0"]), "[potential] file"),
+    "short-dipole-table": ("eigensolve", lambda tp: _desk_table(
+        tp, "model = ramp", ["8 0.1", "40 0.1", "68 0.1"]), "[dipole] file"),
+    "potential-table-short-of-the-grid": ("eigensolve", lambda tp: _desk_table(
+        tp, "model = morse", [f"{r!r} -1e-3" for r in (8.0, 20.0, 40.0, 60.0)]),
+        "does not cover the grid"),
+    "dipole-table-short-of-the-grid": ("eigensolve", lambda tp: _desk_table(
+        tp, "model = ramp", [f"{r!r} 0.1" for r in (10.0, 20.0, 40.0, 68.0)]),
+        "does not cover the grid"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED_INPUTS))
+def test_rejected_input_is_one_error_line_and_no_output(tmp_path, capsys, case):
+    """Config values and files that contradict each other or the grid: exit 2."""
+    command, argv, expected = _REJECTED_INPUTS[case]
+    rc = main([command, "--out", str(tmp_path / "o")] + argv(tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert expected in err
+    assert not (tmp_path / "o").exists()

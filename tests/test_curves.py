@@ -87,7 +87,7 @@ class TestTabulated:
 
     def test_nodes_reproduced_bit_exactly(self, tmp_path):
         path = self._write(tmp_path, ["1 -1", "2 -2", "3 -3", "4 -4"])
-        curve = load_tabulated(path, kind="potential")
+        curve = load_tabulated(path)
         for r, v in [(1, -1.0), (2, -2.0), (3, -3.0), (4, -4.0)]:
             assert float(curve.value(float(r))) == v
 
@@ -123,7 +123,7 @@ class TestTabulated:
             tmp_path,
             ["# a comment", "1, -1", "2 -2  # inline", "3,-3", "4 -4"],
         )
-        curve = load_tabulated(path, kind="dipole")
+        curve = load_tabulated(path)
         assert float(curve.value(3.0)) == -3.0
 
     def test_extrapolation_refused(self, tmp_path):
@@ -133,11 +133,6 @@ class TestTabulated:
             curve.value(4.5)
         with pytest.raises(ExtrapolationError):
             curve.value(np.array([1.5, 0.5]))
-
-    def test_unknown_kind_rejected(self, tmp_path):
-        path = self._write(tmp_path, ["1 -1", "2 -2", "3 -3", "4 -4"])
-        with pytest.raises(ValueError):
-            load_tabulated(path, kind="field")
 
     @pytest.mark.parametrize("coeffs", [
         (0.3, 0.0, 0.0, 0.0),

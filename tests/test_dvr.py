@@ -330,14 +330,6 @@ class TestLifetime:
         spectrum, sd = _fake_two_level(0.01, 0.0)
         assert lifetime(spectrum, sd, 1) == math.inf
 
-    def test_printed_convention_sums_inverses(self, desk_spectrum, desk_sdme):
-        i = 4
-        rates = [einstein_rate(desk_spectrum, desk_sdme, i, v) for v in range(i)]
-        expected = sum(1.0 / r for r in rates)
-        got = lifetime(desk_spectrum, desk_sdme, i, printed_convention=True)
-        assert got == pytest.approx(expected, rel=1e-12)
-        assert got > lifetime(desk_spectrum, desk_sdme, i)
-
     def test_ground_level_rejected(self, desk_spectrum, desk_sdme):
         with pytest.raises(ValueError):
             lifetime(desk_spectrum, desk_sdme, 0)

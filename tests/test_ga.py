@@ -12,11 +12,9 @@ from ladderdown.ga import (
     Individual,
     LadderProblem,
     SurrogateProblem,
-    evaluate_fitness,
     evolve_generation,
     init_population,
     optimize,
-    random_params,
     roulette_pick,
 )
 from ladderdown.propagator import CapSpec, PropagationBlowupError
@@ -65,22 +63,22 @@ def toy_ladder_problem():
 
 class TestInitPopulation:
     def test_genes_always_inside_ranges(self):
-        pop = init_population(RANGES, 2000, rng_seed=3)
+        pop = init_population(RANGES, 2000, np.random.default_rng(3))
         los, his = RANGES.as_arrays()
         genes = np.array([ind.params.as_array() for ind in pop])
         assert genes.shape == (2000, 5)
         assert np.all(genes >= los) and np.all(genes <= his)
 
     def test_same_seed_is_bit_identical(self):
-        a = init_population(RANGES, 50, rng_seed=11)
-        b = init_population(RANGES, 50, rng_seed=11)
+        a = init_population(RANGES, 50, np.random.default_rng(11))
+        b = init_population(RANGES, 50, np.random.default_rng(11))
         assert all(
             np.array_equal(x.params.as_array(), y.params.as_array())
             for x, y in zip(a, b)
         )
 
     def test_unset_fitness(self):
-        assert all(ind.fitness is None for ind in init_population(RANGES, 5, 0))
+        assert all(ind.fitness is None for ind in init_population(RANGES, 5, np.random.default_rng(0)))
 
 
 class TestEvaluateFitness:
@@ -94,21 +92,21 @@ class TestEvaluateFitness:
         ind = Individual(params=ChirpedPulseParams(
             eps0=1e-12, omega0=0.08, tau0=200.0, tau=50.0, chirp=1e-9
         ))
-        j = evaluate_fitness(ind, prob)
-        assert abs(j - 1.0) < 1e-8 and ind.fitness == j
+        j = prob.evaluate(ind.params)
+        assert abs(j - 1.0) < 1e-8
 
     def test_orthogonal_target_scores_zero(self, toy_ladder_problem):
         ind = Individual(params=ChirpedPulseParams(
             eps0=1e-12, omega0=0.08, tau0=200.0, tau=50.0, chirp=1e-9
         ))
-        assert evaluate_fitness(ind, toy_ladder_problem) < 1e-10
+        assert toy_ladder_problem.evaluate(ind.params) < 1e-10
 
     def test_reevaluation_is_invariant(self, toy_ladder_problem):
         ind = Individual(params=ChirpedPulseParams(
             eps0=0.004, omega0=0.08, tau0=300.0, tau=100.0, chirp=1e-8
         ))
-        j1 = evaluate_fitness(ind, toy_ladder_problem)
-        j2 = evaluate_fitness(ind, toy_ladder_problem)
+        j1 = toy_ladder_problem.evaluate(ind.params)
+        j2 = toy_ladder_problem.evaluate(ind.params)
         assert abs(j1 - j2) < 1e-12
 
     def test_dropped_stepper_is_rebuilt_to_the_same_score(self, toy_ladder_problem):
@@ -118,13 +116,6 @@ class TestEvaluateFitness:
         toy_ladder_problem.drop_stepper()
         assert "stepper" not in vars(toy_ladder_problem)
         assert toy_ladder_problem.evaluate(params) == j1
-
-    def test_blowup_degrades_to_zero_and_flags(self):
-        ind = Individual(params=ChirpedPulseParams(
-            eps0=1e-3, omega0=1.0, tau0=1.0, tau=1.0, chirp=1.0
-        ))
-        assert evaluate_fitness(ind, BlowupProblem()) == 0.0
-        assert ind.failed
 
 
 class TestRoulette:
@@ -140,13 +131,13 @@ class TestRoulette:
 
 class TestEvolveGeneration:
     def _evaluated_population(self, surrogate, n=20, seed=5):
-        pop = init_population(RANGES, n, rng_seed=seed)
+        pop = init_population(RANGES, n, np.random.default_rng(seed))
         for ind in pop:
-            evaluate_fitness(ind, surrogate)
+            ind.fitness = surrogate.evaluate(ind.params)
         return pop
 
     def test_requires_evaluated_population(self, surrogate):
-        pop = init_population(RANGES, 10, rng_seed=0)
+        pop = init_population(RANGES, 10, np.random.default_rng(0))
         cfg = GaConfig(ranges=RANGES, population_size=10, elite_count=2)
         with pytest.raises(ValueError):
             evolve_generation(pop, cfg, np.random.default_rng(0))
@@ -193,9 +184,9 @@ class TestEvolveGeneration:
         assert np.all(genes >= los) and np.all(genes <= his)
 
     def test_all_zero_fitness_falls_back_to_uniform(self):
-        pop = init_population(RANGES, 12, rng_seed=1)
+        pop = init_population(RANGES, 12, np.random.default_rng(1))
         for ind in pop:
-            evaluate_fitness(ind, FlatProblem(0.0))
+            ind.fitness = FlatProblem(0.0).evaluate(ind.params)
         cfg = GaConfig(ranges=RANGES, population_size=12, elite_count=2)
         from ladderdown.ga import GaHistory
 
@@ -210,7 +201,7 @@ class TestOptimize:
         cfg = GaConfig(ranges=RANGES, population_size=15, generations=1,
                        elite_count=2, rng_seed=9)
         best, history = optimize(cfg, surrogate)
-        pop = init_population(RANGES, 15, rng_seed=9)
+        pop = init_population(RANGES, 15, np.random.default_rng(9))
         scores = [surrogate.evaluate(ind.params) for ind in pop]
         assert best.fitness == max(scores)
         assert history.evaluations == 15
@@ -229,7 +220,7 @@ class TestOptimize:
             cfg = GaConfig(ranges=RANGES, population_size=40, generations=50,
                            elite_count=5, rng_seed=seed)
             best, _ = optimize(cfg, surrogate)
-            assert best.fitness >= 0.99 * surrogate.maximum()
+            assert best.fitness >= 0.99  # the surrogate peaks at 1
 
     def test_rerun_is_byte_identical(self, surrogate):
         cfg = GaConfig(ranges=RANGES, population_size=20, generations=6,
@@ -290,12 +281,3 @@ class TestOptimize:
         with pytest.raises(ValueError):
             GaConfig(ranges=RANGES, generations=0)
 
-
-class TestRandomParams:
-    def test_within_ranges_and_seeded(self):
-        a = random_params(RANGES, 31)
-        b = random_params(RANGES, 31)
-        assert a == b
-        los, his = RANGES.as_arrays()
-        g = a.as_array()
-        assert np.all(g >= los) and np.all(g <= his)

@@ -16,7 +16,6 @@ from ladderdown.propagator import (
     choose_time_step,
     populations,
     propagate,
-    refine_time_step,
 )
 from ladderdown.pulse import ChirpedPulseParams, as_field
 from oracles import HarmonicPotential, LinearDipole, ZeroPotential, gaussian_packet
@@ -214,7 +213,7 @@ class TestRabiOracle:
         rec = propagate(
             state, lambda t: eps * np.cos(w01 * np.asarray(t)),
             SplitStepper(grid, pot, dip, None, 0.25), t_max=0.75 * period, sample_stride=20,
-            spectrum=spectrum, levels=[0, 1],
+            spectrum=spectrum,
         )
         p0 = rec.populations[:, 0]
         t_min = rec.times[int(np.argmin(p0))]
@@ -293,14 +292,6 @@ class TestPopulations:
         assert snap.populations[4] == pytest.approx(0.5, abs=1e-10)
         assert snap.total_bound == pytest.approx(1.0, abs=1e-10)
         assert snap.dissociation == pytest.approx(0.0, abs=1e-10)
-
-    def test_level_subset_selection(self, harmonic_system):
-        grid, _, _, spectrum = harmonic_system
-        psi = spectrum.wavefunctions[2].astype(complex)
-        snap = populations(WavefunctionState(psi=psi, t=0.0, grid=grid),
-                           spectrum, levels=[0, 2])
-        assert snap.populations.shape == (2,)
-        assert snap.populations[1] == pytest.approx(1.0, abs=1e-10)
 
 
 class TestPropagateBookkeeping:
@@ -387,21 +378,6 @@ class TestTimeStepSelection:
         k_nyq = math.pi / grid.dr
         assert w_max * dt <= 0.1 + 1e-12
         assert k_nyq**2 / (2.0 * grid.mu) * dt <= 1.0 + 1e-12
-
-    def test_refine_reaches_self_convergence(self, morse_two_level):
-        grid, pot, dip, spectrum = morse_two_level
-        w01 = spectrum.transition_energy(1, 0)
-        state = WavefunctionState(
-            psi=spectrum.wavefunctions[0].astype(complex), t=0.0, grid=grid
-        )
-        field = lambda t: 0.004 * np.cos(w01 * np.asarray(t))
-        dt = refine_time_step(state, field, pot, dip, None, t_max=200.0,
-                              spectrum=spectrum, dt0=1.0, tol=1e-6)
-        rec_a = propagate(state, field, SplitStepper(grid, pot, dip, None, dt), t_max=200.0,
-                          sample_stride=10**9, spectrum=spectrum)
-        rec_b = propagate(state, field, SplitStepper(grid, pot, dip, None, dt / 2),
-                          t_max=200.0, sample_stride=10**9, spectrum=spectrum)
-        assert np.max(np.abs(rec_a.populations[-1] - rec_b.populations[-1])) < 1e-6
 
 
 @pytest.fixture(scope="module")

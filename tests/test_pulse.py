@@ -193,15 +193,6 @@ class TestParamRanges:
                 tau=(1e5, 2e5), chirp=(1e-13, 1e-12),
             )
 
-    def test_clip(self):
-        r = ParamRanges(
-            eps0=(1e-3, 1e-2), omega0=(1e-5, 2e-5), tau0=(1e6, 2e6),
-            tau=(1e5, 2e5), chirp=(1e-13, 1e-12),
-        )
-        clipped = r.clip(np.array([1e-4, 3e-5, 1.5e6, 1e4, 1e-11]))
-        los, his = r.as_arrays()
-        assert np.all(clipped >= los) and np.all(clipped <= his)
-
 
 @pytest.fixture(scope="module")
 def soft_anharmonic_spectrum():
