@@ -38,15 +38,18 @@ from .ga import (
     optimize,
 )
 from .propagator import (
+    POP_TOL,
     CapSpec,
     EigenStepper,
     PropagationRecord,
     SplitStepper,
+    TimeStepChoice,
+    TimeStepError,
     WavefunctionState,
     cap_value,
-    choose_time_step,
     populations,
     propagate,
+    tolerance_time_step,
 )
 from .pulse import (
     ChirpedPulseParams,

@@ -47,7 +47,16 @@ from .dvr import (
     solve_spectrum,
 )
 from .ga import GaConfig, LadderProblem, SurrogateProblem, optimize
-from .propagator import CapSpec, SplitStepper, WavefunctionState, choose_time_step, propagate
+from .propagator import (
+    POP_TOL,
+    CapSpec,
+    SplitStepper,
+    TimeStepChoice,
+    TimeStepError,
+    WavefunctionState,
+    propagate,
+    tolerance_time_step,
+)
 from .pulse import (
     GENE_NAMES,
     ChirpedPulseParams,
@@ -475,7 +484,8 @@ def _write_csv(out: Path, name: str, header: list[str] | None, rows) -> None:
     _write(out, name, "\n".join(lines) + "\n")
 
 
-def _write_manifest(out: Path, command: str, config: RunConfig, seed, threads: int | None):
+def _write_manifest(out: Path, command: str, config: RunConfig, seed, threads: int | None,
+                    time_step: dict | None = None):
     manifest = {
         "command": command,
         "config_sha256": hashlib.sha256(config.text.encode()).hexdigest(),
@@ -487,6 +497,8 @@ def _write_manifest(out: Path, command: str, config: RunConfig, seed, threads: i
             "scipy": scipy.__version__,
         },
     }
+    if time_step is not None:
+        manifest["time_step"] = time_step
     _write(out, "resolved_config.ini", config.text)
     _write(out, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -526,6 +538,50 @@ def _bound_spectrum(config: RunConfig, check_levels: bool = True) -> Vibrational
     return spec
 
 
+def _ga_ranges(config: RunConfig, spec: VibrationalSpectrum | None) -> ParamRanges:
+    """The [ga] ranges: explicit ones, or the heuristic ones of the bound spectrum."""
+    if config.ga.ranges is not None:
+        return config.ga.ranges
+    sd = sdme_map(spec, config.dipole)
+    life_s = lifetime(spec, sd, config.initial_level)
+    try:
+        return heuristic_ranges(
+            spec, config.initial_level, config.ladder,
+            lifetime_au=life_s / AU_TIME_S, sdme=sd, tau_span=config.ga.tau_span,
+        )
+    except ChirpSignError as exc:
+        raise ConfigError(f"[levels] ladder: {exc}") from None
+    except HeuristicRangeError as exc:
+        raise ConfigError(f"[ga] heuristic ranges: {exc}") from None
+
+
+def _outside_ranges(pulse: ChirpedPulseParams, ranges: ParamRanges) -> list[str]:
+    """The genes of ``pulse`` outside their search range."""
+    los, his = ranges.as_arrays()
+    return [name for name, g, lo, hi in zip(GENE_NAMES, pulse.as_array(), los, his)
+            if not lo <= g <= hi]
+
+
+def _pinned_dt(config: RunConfig, horizon: float, what: str) -> dict:
+    """The record of a [propagation] dt given in the config; one above the horizon is an error."""
+    if config.dt > horizon:
+        raise ConfigError(
+            f"[propagation] dt: {config.dt:g} exceeds {what}, tau0 + 4 tau = {horizon:g}"
+        )
+    return {"dt_au": config.dt, "dt_source": "config"}
+
+
+def _tolerance_record(choice: TimeStepChoice) -> dict:
+    """The record of a dt chosen from the population tolerance."""
+    return {"dt_au": choice.dt, "dt_source": "tolerance", "dt_tol": POP_TOL,
+            "dt_error_estimate": choice.estimate, "dt_measured_au": choice.measured_dt,
+            "dt_measured_error": choice.measured_error, "dt_search_steps": choice.search_steps}
+
+
+def _summary_lines(record: dict) -> list[str]:
+    return [f"{k} = {_fmt(v) if isinstance(v, float) else v}" for k, v in record.items()]
+
+
 # --- commands ---------------------------------------------------------------
 
 
@@ -560,17 +616,24 @@ def cmd_eigensolve(config: RunConfig, out_dir: str, with_wavefunctions: bool = F
 
 def cmd_propagate(config: RunConfig, out_dir: str, pulse_file: str | None = None) -> dict:
     pulse = _resolve_pulse(config, pulse_file, "propagate")
+    horizon = duration(pulse)
+    if config.dt is not None:
+        time_step = _pinned_dt(config, horizon, "the pulse horizon")
     spec = _bound_spectrum(config)
-    out = _prepare_out(out_dir)
-    dt = config.dt or choose_time_step(
-        config.grid, config.potential, config.dipole, config.cap, eps_max=pulse.eps0
-    )
+    outside = None if config.ga is None else _outside_ranges(pulse, _ga_ranges(config, spec))
     psi0 = spec.wavefunctions[config.initial_level].astype(complex)
     state = WavefunctionState(psi=psi0, t=0.0, grid=config.grid)
 
     t0 = time.perf_counter()
-    stepper = SplitStepper(config.grid, config.potential, config.dipole, config.cap, dt)
-    rec = propagate(state, pulse, stepper, duration(pulse),
+    stepper = SplitStepper(config.grid, config.potential, config.dipole, config.cap,
+                           config.dt or horizon)
+    if config.dt is None:
+        # dt = horizon/n, so that the run ends at the horizon
+        choice = tolerance_time_step(stepper, psi0, spec, [pulse], horizon)
+        time_step = _tolerance_record(choice)
+        stepper = stepper.with_dt(choice.dt)
+    out = _prepare_out(out_dir)
+    rec = propagate(state, pulse, stepper, horizon,
                     sample_stride=config.sample_stride, spectrum=spec)
     wall = time.perf_counter() - t0
 
@@ -590,11 +653,13 @@ def cmd_propagate(config: RunConfig, out_dir: str, pulse_file: str | None = None
         f"final_total_bound = {_fmt(rec.total_bound[-1])}",
         f"final_dissociation = {_fmt(rec.dissociation[-1])}",
         f"steps = {rec.steps}",
-        f"dt_au = {_fmt(dt)}",
-        f"wall_time_s = {wall:.3f}",
     ]
+    summary += _summary_lines(time_step)
+    if outside is not None:
+        summary.append(f"pulse_outside_ga_ranges = {','.join(outside) or 'none'}")
+    summary.append(f"wall_time_s = {wall:.3f}")
     _write(out, "summary.txt", "\n".join(summary) + "\n")
-    _write_manifest(out, "propagate", config, seed=None, threads=None)
+    _write_manifest(out, "propagate", config, seed=None, threads=None, time_step=time_step)
     print(
         f"propagate: {rec.steps} steps, p_target={fin[config.target_level]:.4f} -> {out}"
     )
@@ -614,35 +679,27 @@ def cmd_optimize(
     if used_seed < 0:
         raise ConfigError(f"seed must be >= 0, got {used_seed}")
 
-    ranges = ga.ranges
     spec = None
-    if ranges is None or not surrogate:
+    if ga.ranges is None or not surrogate:
         spec = _bound_spectrum(config)
-    if ranges is None:
-        sd = sdme_map(spec, config.dipole)
-        life_s = lifetime(spec, sd, config.initial_level)
-        try:
-            ranges = heuristic_ranges(
-                spec, config.initial_level, config.ladder,
-                lifetime_au=life_s / AU_TIME_S, sdme=sd, tau_span=ga.tau_span,
-            )
-        except ChirpSignError as exc:
-            raise ConfigError(f"[levels] ladder: {exc}") from None
-        except HeuristicRangeError as exc:
-            raise ConfigError(f"[ga] heuristic ranges: {exc}") from None
+    ranges = _ga_ranges(config, spec)
 
+    time_step = None
     if surrogate:
         problem = SurrogateProblem.from_ranges(ranges)
     else:
-        dt = config.dt or choose_time_step(
-            config.grid, config.potential, config.dipole, config.cap,
-            eps_max=ranges.eps0[1],
-        )
         problem = LadderProblem(
             potential=config.potential, dipole=config.dipole, cap=config.cap,
             spectrum=spec, initial_level=config.initial_level,
-            target_level=config.target_level, dt=dt,
+            target_level=config.target_level, dt=config.dt,
         )
+        if config.dt is not None:
+            shortest = duration(ChirpedPulseParams.from_array(ranges.as_arrays()[0]))
+            time_step = _pinned_dt(config, shortest, "the shortest horizon of the gene box")
+        else:
+            problem, choice, corner = problem.at_tolerance(ranges)
+            time_step = {**_tolerance_record(choice),
+                         "dt_worst_corner": ", ".join(map(_fmt, corner.as_array()))}
 
     cfg = ga.ga_config(ranges, used_seed)
     out = _prepare_out(out_dir)
@@ -671,8 +728,11 @@ def cmd_optimize(
     summary += [
         f"range_{name} = {_fmt(lo)}, {_fmt(hi)}" for name, lo, hi in zip(GENE_NAMES, los, his)
     ]
+    if time_step is not None:
+        summary += _summary_lines(time_step)
     _write(out, "summary.txt", "\n".join(summary) + "\n")
-    _write_manifest(out, "optimize", config, seed=used_seed, threads=threads)
+    _write_manifest(out, "optimize", config, seed=used_seed, threads=threads,
+                    time_step=time_step)
     print(f"optimize: best J = {best.fitness:.6f} after {history.evaluations} evaluations -> {out}")
     return {"best": best, "history": history, "ranges": ranges, "out": out}
 
@@ -766,6 +826,9 @@ def main(argv=None) -> int:
             )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except TimeStepError as exc:
+        print(f"error: [propagation] dt is not set, and {exc}; set it", file=sys.stderr)
         return 2
     return 0
 

@@ -13,6 +13,7 @@ fitness evaluations are parallelized.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -26,8 +27,10 @@ from .propagator import (
     CapSpec,
     EigenStepper,
     PropagationBlowupError,
+    TimeStepChoice,
     WavefunctionState,
     propagate,
+    tolerance_time_step,
 )
 from .pulse import GENE_NAMES, ChirpedPulseParams, ParamRanges, duration
 
@@ -105,8 +108,9 @@ class LadderProblem:
     in the eigenbasis of H0 below ``ecut`` = -E_0, the well depth measured
     from the dissociation limit, with H = H0 + CAP projected on that basis
     (``propagator.EigenStepper``), which ``evaluate`` hands to ``propagate``
-    on ``spectrum.grid``; the overlap is taken there too. ``dt`` is pinned
-    by the caller; nothing here or in the CLI checks its convergence.
+    on ``spectrum.grid``; the overlap is taken there too. ``dt`` is either
+    pinned by the caller or None, and then ``at_tolerance`` chooses it from
+    ``propagator.POP_TOL`` over the corners of the gene box.
     """
 
     potential: object
@@ -115,14 +119,19 @@ class LadderProblem:
     spectrum: VibrationalSpectrum
     initial_level: int
     target_level: int
-    dt: float
+    dt: float | None
+
+    def _eigen_stepper(self, dt: float) -> EigenStepper:
+        ecut = -float(self.spectrum.energies[0])
+        basis = solve_spectrum(self.spectrum.grid, self.potential, threshold=ecut)
+        return EigenStepper(basis, self.dipole, self.cap, dt)
 
     @cached_property
     def stepper(self) -> EigenStepper:
         """The eigenbasis stepper, built at the first score and kept."""
-        ecut = -float(self.spectrum.energies[0])
-        basis = solve_spectrum(self.spectrum.grid, self.potential, threshold=ecut)
-        return EigenStepper(basis, self.dipole, self.cap, self.dt)
+        if self.dt is None:
+            raise ValueError("dt is not set; at_tolerance chooses one")
+        return self._eigen_stepper(self.dt)
 
     def drop_stepper(self):
         """Free the stepper's basis; a later score builds it again."""
@@ -132,9 +141,40 @@ class LadderProblem:
         # pickled with the stepper, so no worker process repeats the eigensolve
         return {**self.__dict__, "stepper": self.stepper}
 
+    def _psi0(self) -> np.ndarray:
+        return self.spectrum.wavefunctions[self.initial_level].astype(complex)
+
+    def at_tolerance(
+        self, ranges: ParamRanges
+    ) -> tuple["LadderProblem", TimeStepChoice, ChirpedPulseParams]:
+        """This problem at the dt that holds POP_TOL at all 32 corners of the gene box.
+
+        ``tolerance_time_step`` runs on the corner pulses, each over its own
+        horizon, and the smallest dt wins. The 32 corners have 4 horizons, and
+        the corners of one horizon share each trial stepper. The basis, D's
+        eigenvectors and U^T Phi are built once for all. Returns the problem
+        at that dt with its stepper built, the winning choice and the corner
+        whose error estimate set it. Raises ``propagator.TimeStepError``
+        where a search does.
+        """
+        los, his = ranges.as_arrays()
+        by_horizon: dict[float, list[ChirpedPulseParams]] = {}
+        for upper in itertools.product((False, True), repeat=len(GENE_NAMES)):
+            corner = ChirpedPulseParams.from_array(np.where(upper, his, los))
+            by_horizon.setdefault(duration(corner), []).append(corner)
+        frame = self._eigen_stepper(max(by_horizon))
+        psi0 = self._psi0()
+        worst = None
+        for t_end, corners in by_horizon.items():
+            choice = tolerance_time_step(frame, psi0, self.spectrum, corners, t_end)
+            if worst is None or choice.dt < worst[0].dt:
+                worst = choice, corners[choice.worst]
+        problem = replace(self, dt=worst[0].dt)
+        problem.__dict__["stepper"] = frame.with_dt(problem.dt)
+        return (problem, *worst)
+
     def evaluate(self, params: ChirpedPulseParams) -> float:
-        psi0 = self.spectrum.wavefunctions[self.initial_level].astype(complex)
-        state = WavefunctionState(psi=psi0, t=0.0, grid=self.spectrum.grid)
+        state = WavefunctionState(psi=self._psi0(), t=0.0, grid=self.spectrum.grid)
         rec = propagate(state, params, self.stepper, duration(params), sample_stride=10**9)
         target = self.spectrum.wavefunctions[self.target_level]
         j = abs(rec.final_state.overlap(target)) ** 2

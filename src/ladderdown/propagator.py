@@ -40,10 +40,17 @@ a built once.
 ``propagate(state, field, stepper, t_max)`` drives either one: the stepper
 is built once and carries the curves, the absorber and dt, and
 ``propagate`` adds the clock and the sampled observables.
+
+Where no dt is given, ``tolerance_time_step`` chooses it for a pulse from
+the population tolerance ``POP_TOL``: Strang's error has only even powers
+of dt, so runs at h and h/2 estimate it, and once halving h is seen to
+quarter the estimate, dt follows from the dt^2 law. Both steppers give the
+stepper of another dt with ``with_dt``, sharing what does not depend on it.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -161,11 +168,9 @@ class PropagationRecord:
     dt: float
 
 
-def _check_stepper(grid: RadialGrid, cap: CapSpec | None, dt: float):
+def _check_dt(dt: float):
     if dt == 0:
         raise ValueError("time step must be nonzero")
-    if cap is not None:
-        cap.check_inside(grid)
 
 
 # field samples per block; bounds memory however long the horizon
@@ -242,24 +247,38 @@ class SplitStepper:
     is below 2^-60 and whose large phases are scaled and squared, so it
     equals the exponential to rounding at the cost of one small
     matrix-vector product instead of a complex exp per grid point.
+    ``with_dt`` gives the stepper of another dt on the same curves.
     """
 
     def __init__(self, grid: RadialGrid, potential, dipole, cap: CapSpec | None, dt: float):
-        _check_stepper(grid, cap, dt)
+        if cap is not None:
+            cap.check_inside(grid)
         self.grid = grid
-        self.dt = dt
         r = grid.points
         k = 2.0 * math.pi * sfft.fftfreq(grid.n_points, d=grid.dr)
-        kin_phase = -1j * k**2 / (2.0 * grid.mu)
-        self.kin_half = np.exp(kin_phase * (dt / 2.0))
-        self.kin_full = self.kin_half * self.kin_half
+        self._kin_phase = -1j * k**2 / (2.0 * grid.mu)
         w_static = potential.value(r).astype(complex)
         if cap is not None:
             w_static = w_static + cap_value(cap, r)
-        self.pot_factor = np.exp(-1j * w_static * dt)
+        self._w_static = w_static
+        self._dipole = dipole.value(r) if dipole is not None else None
+        self._set_dt(dt)
+
+    def _set_dt(self, dt: float):
+        _check_dt(dt)
+        self.dt = dt
+        self.kin_half = np.exp(self._kin_phase * (dt / 2.0))
+        self.kin_full = self.kin_half * self.kin_half
+        self.pot_factor = np.exp(-1j * self._w_static * dt)
         self.field_factor = _FieldFactor(
-            dt * dipole.value(r) if dipole is not None else np.zeros(grid.n_points)
+            dt * self._dipole if self._dipole is not None else np.zeros(self.grid.n_points)
         )
+
+    def with_dt(self, dt: float) -> "SplitStepper":
+        """The stepper for ``dt`` on the same grid, curves and absorber."""
+        other = copy.copy(self)
+        other._set_dt(dt)
+        return other
 
     def run(self, psi: np.ndarray, t0: float, n_steps: int, field) -> np.ndarray:
         """Apply n_steps Strang steps starting at t0, merging inner kinetics."""
@@ -302,9 +321,9 @@ class EigenStepper:
 
     def __init__(self, basis: VibrationalSpectrum, dipole, cap: CapSpec | None, dt: float):
         grid = basis.grid
-        _check_stepper(grid, cap, dt)
+        if cap is not None:
+            cap.check_inside(grid)
         self.grid = grid
-        self.dt = dt
         phi = basis.wavefunctions
         r = grid.points
         h = np.diag(basis.energies).astype(complex)
@@ -314,13 +333,26 @@ class EigenStepper:
         d = grid.dr * (phi * dipole.value(r)) @ phi.T
         # divide and conquer (evd) keeps U orthogonal to rounding; the 1e-13
         # error of the default MRRR (evr) would raise the norm at every step
-        lam, u = sla.eigh(0.5 * (d + d.T), driver="evd")
-        self.field_factor = _FieldFactor(dt * lam)
-        # everything is kept in U's frame: the basis rows U^T Phi, the half step
-        # U^T exp(-i H dt/2) U and the merged full step, its square
-        self.half = u.T @ sla.expm(-0.5j * dt * h) @ u
+        self._lam, self._u = sla.eigh(0.5 * (d + d.T), driver="evd")
+        self._h = h
+        # everything is kept in U's frame: the basis rows U^T Phi here, the
+        # half step U^T exp(-i H dt/2) U and the merged full step in _set_dt
+        self.phi = self._u.T @ phi
+        self._set_dt(dt)
+
+    def _set_dt(self, dt: float):
+        _check_dt(dt)
+        self.dt = dt
+        self.field_factor = _FieldFactor(dt * self._lam)
+        self.half = self._u.T @ sla.expm(-0.5j * dt * self._h) @ self._u
         self.full = self.half @ self.half
-        self.phi = u.T @ phi
+
+    def with_dt(self, dt: float) -> "EigenStepper":
+        """The stepper for ``dt``; it shares this one's basis rows U^T Phi, D's
+        eigenvectors and H, and builds only the half step and the phases."""
+        other = copy.copy(self)
+        other._set_dt(dt)
+        return other
 
     def run(self, psi: np.ndarray, t0: float, n_steps: int, field) -> np.ndarray:
         """Apply n_steps Strang steps starting at t0, merging inner half steps."""
@@ -363,7 +395,8 @@ def propagate(
         raise ValueError("sample_stride must be >= 1")
     if isinstance(field, ChirpedPulseParams):
         field = as_field(field)
-    n_steps = max(1, math.ceil((t_max - state.t) / dt - 1e-12))
+    # relative slack: dt = span/n must give n steps, however large n
+    n_steps = max(1, math.ceil((t_max - state.t) / dt * (1.0 - 1e-12)))
 
     times, fields_out, pops, totals, norms = [], [], [], [], []
 
@@ -405,19 +438,101 @@ def propagate(
     )
 
 
-def choose_time_step(
-    grid: RadialGrid, potential, dipole, cap: CapSpec | None, eps_max: float = 0.0
-) -> float:
-    """Default dt: a potential phase below 0.1 rad and a Nyquist kinetic
-    phase below 1 rad per step, with the field at eps_max. A heuristic;
-    nothing checks the convergence of the dt it returns."""
-    r = grid.points
-    w = np.abs(potential.value(r)) + (
-        eps_max * np.abs(dipole.value(r)) if dipole is not None else 0.0
-    )
-    if cap is not None:
-        w = w + np.abs(cap_value(cap, r))
-    k_nyq = math.pi / grid.dr
-    dt_pot = 0.1 / float(np.max(w))
-    dt_kin = 1.0 / (k_nyq**2 / (2.0 * grid.mu))
-    return min(dt_pot, dt_kin)
+# largest bound-level population error that a dt chosen from the tolerance may have
+POP_TOL = 1.0e-6
+# in the dt^2 regime the error estimate falls by 4 per halving, give or take this
+_RATIO_SLACK = 1.0
+# the search gives up when its finest trial run would pass this many steps
+_SEARCH_MAX_STEPS = 2**20
+# ... or when the estimate falls below this fraction of the tolerance, where
+# the rounding of thousands of steps hides any ratio
+_ROUNDING = 1.0e-4
+
+
+class TimeStepError(Exception):
+    """The error estimate never fell by 4 per halving of the step."""
+
+
+@dataclass(frozen=True)
+class TimeStepChoice:
+    """A dt chosen from a population tolerance for pulses of one horizon.
+
+    ``dt`` = t_end / ``steps``, and ``estimate`` is the largest bound-level
+    population error predicted there. It is predicted from the finest trial
+    step ``measured_dt``, whose estimated error ``measured_error`` was
+    largest under field number ``worst``. The trial runs took
+    ``search_steps`` steps per field.
+    """
+
+    dt: float
+    steps: int
+    estimate: float
+    measured_dt: float
+    measured_error: float
+    worst: int
+    search_steps: int
+
+
+def tolerance_time_step(
+    stepper: SplitStepper | EigenStepper,
+    psi0: np.ndarray,
+    spectrum: VibrationalSpectrum,
+    fields: list,
+    t_end: float,
+) -> TimeStepChoice:
+    """The largest dt = t_end/n at which every bound population at t_end is within POP_TOL.
+
+    Strang splitting is symmetric, so its error has only even powers of dt
+    (Hairer, Lubich & Wanner, Geometric Numerical Integration, 2006, ch. II).
+    Two runs from psi0 at t = 0 to t_end, at steps h and h/2, then estimate
+    the error of the h/2 run as e = max |p_v(h) - p_v(h/2)| / 3, over the
+    bound levels v of ``spectrum`` and over ``fields`` (each a callable eps(t)
+    or a ChirpedPulseParams). Starting from one step over the whole span,
+    the search halves the step until the estimate has fallen by 4 +- 1 at
+    two successive halvings, which shows the dt^2 regime. From the finest
+    step h' and its estimate e', it predicts dt = h' sqrt(POP_TOL/2 / e'),
+    aiming at half the tolerance, and takes no dt coarser than the first
+    step of that regime, 4 h'.
+
+    Each trial step is one ``stepper.with_dt(h)``, alive while it runs every
+    field; the given stepper's own dt plays no part. Raises TimeStepError if
+    the estimate falls below POP_TOL * 1e-4, or a trial run would pass 2^20
+    steps, before it shows the dt^2 regime.
+    """
+    if not t_end > 0:
+        raise ValueError(f"the search needs t_end > 0, got {t_end}")
+    fields = [as_field(f) if isinstance(f, ChirpedPulseParams) else f for f in fields]
+    grid = spectrum.grid
+
+    def final_populations(trial, n):
+        return np.array([
+            populations(WavefunctionState(psi=trial.run(psi0, 0.0, n, f), t=t_end, grid=grid),
+                        spectrum).populations
+            for f in fields
+        ])
+
+    prev, estimates, n = None, [], 1
+    while True:
+        pops = final_populations(stepper.with_dt(t_end / n), n)
+        if prev is not None:
+            per_field = np.max(np.abs(prev - pops), axis=1) / 3.0
+            estimates.append(float(np.max(per_field)))
+            e = estimates[-3:]
+            resolved = e[-1] >= POP_TOL * _ROUNDING
+            if resolved and len(e) == 3 and all(abs(a / b - 4.0) <= _RATIO_SLACK
+                                                for a, b in zip(e, e[1:])):
+                break
+            if not resolved or 2 * n > _SEARCH_MAX_STEPS:
+                raise TimeStepError(
+                    "the population error estimate never fell by 4 per halving of dt "
+                    f"(estimates {', '.join(f'{x:.2g}' for x in estimates)}, "
+                    f"down to dt {t_end / n:.4g})"
+                )
+        prev = pops
+        n *= 2
+    h, err = t_end / n, estimates[-1]
+    steps = math.ceil(t_end / min(h * math.sqrt(0.5 * POP_TOL / err), 4.0 * h))
+    dt = t_end / steps
+    return TimeStepChoice(dt=dt, steps=steps, estimate=err * (dt / h) ** 2,
+                          measured_dt=h, measured_error=err, worst=int(np.argmax(per_field)),
+                          search_steps=2 * n - 1)

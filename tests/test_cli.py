@@ -11,6 +11,7 @@ from ladderdown.cli import (
     ConfigError,
     GaSettings,
     PRESETS,
+    _outside_ranges,
     cmd_eigensolve,
     cmd_optimize,
     cmd_propagate,
@@ -20,6 +21,10 @@ from ladderdown.cli import (
     parse_config,
 )
 from ladderdown.constants import AU_ANGFREQ_RAD_PER_S
+from ladderdown.dvr import solve_spectrum
+from ladderdown.ga import LadderProblem, init_population
+from ladderdown.propagator import SplitStepper, WavefunctionState, propagate
+from ladderdown.pulse import duration
 from oracles import morse_bound_count, morse_energies
 
 TINY_PULSE = """[pulse]
@@ -32,6 +37,12 @@ chirp = 1e-12
 
 
 DATA = Path(__file__).parent / "data"
+# the pulse CI propagates on the desk grid, and the timeseries.csv of that run at dt 40
+DESK_PULSE = DATA / "desk-propagate-dt40" / "pulse.cfg"
+
+
+def read_summary(out):
+    return dict(line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines())
 
 
 def read_csv(path):
@@ -490,6 +501,11 @@ def _desk_config(tmp_path, old, new):
     return ["--config", str(path)]
 
 
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
 def _desk_table(tmp_path, model_line, rows):
     """The desk config with [potential] or [dipole] read from a table of rows."""
     table = tmp_path / "curve.dat"
@@ -535,6 +551,16 @@ _REJECTED_INPUTS = {
     "dipole-table-short-of-the-grid": ("eigensolve", lambda tp: _desk_table(
         tp, "model = ramp", [f"{r!r} 0.1" for r in (10.0, 20.0, 40.0, 68.0)]),
         "does not cover the grid"),
+    "dt-above-the-pulse-horizon": ("propagate", lambda tp: _desk_config(
+        tp, "dt = 40.0", "dt = 5e4") + ["--pulse", str(DESK_PULSE)],
+        "[propagation] dt: 50000 exceeds the pulse horizon"),
+    "dt-above-the-shortest-horizon": ("optimize", lambda tp: _desk_config(
+        tp, "dt = 40.0", "dt = 1e6"), "exceeds the shortest horizon of the gene box"),
+    # a field of 1e-30 leaves the eigenstate alone: the population error of
+    # the split falls as dt^4, and then to rounding, never by 4 per halving
+    "dt-without-a-dt2-regime": ("propagate", lambda tp: _desk_config(
+        tp, "dt = 40.0\n", "") + ["--pulse", str(_write(tp / "tiny.cfg", TINY_PULSE))],
+        "[propagation] dt is not set, and the population error estimate never fell"),
 }
 
 
@@ -548,3 +574,98 @@ def test_rejected_input_is_one_error_line_and_no_output(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert expected in err
     assert not (tmp_path / "o").exists()
+
+
+def _unpinned_desk(tmp_path, **ga):
+    """The desk preset without [propagation] dt, with [ga] keys replaced."""
+    cp = configparser.ConfigParser()
+    cp.read_string(PRESETS["desk"])
+    del cp["propagation"]["dt"]
+    cp["ga"].update({k: str(v) for k, v in ga.items()})
+    path = tmp_path / "unpinned.ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    return path
+
+
+class TestTimeStep:
+    def test_pinned_desk_propagate_keeps_its_stored_timeseries(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["propagate", "--preset", "desk", "--pulse", str(DESK_PULSE),
+                     "--out", str(out)]) == 0
+        stored = DATA / "desk-propagate-dt40" / "timeseries.csv"
+        assert (out / "timeseries.csv").read_bytes() == stored.read_bytes()
+        summary = read_summary(out)
+        assert (summary["dt_au"], summary["dt_source"]) == ("40.0", "config")
+        assert "dt_tol" not in summary
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["time_step"] == {"dt_au": 40.0, "dt_source": "config"}
+
+    def test_surrogate_run_keeps_its_stored_files_byte_for_byte(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["optimize", "--preset", "old20", "--surrogate", "--seed", "5",
+                     "--out", str(out)]) == 0
+        for name in ("history.csv", "best_pulse.cfg"):
+            stored = DATA / "old20-surrogate-seed5" / name
+            assert (out / name).read_bytes() == stored.read_bytes()
+        assert "dt_source" not in read_summary(out)
+
+    def test_unpinned_propagate_chooses_dt_from_the_tolerance(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["propagate", "--config", str(_unpinned_desk(tmp_path)),
+                     "--pulse", str(DESK_PULSE), "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert summary["dt_source"] == "tolerance"
+        assert float(summary["dt_tol"]) == 1e-6
+        assert 0 < float(summary["dt_error_estimate"]) <= 5e-7 * (1 + 1e-12)
+        dt, steps = float(summary["dt_au"]), int(summary["steps"])
+        assert dt * steps == pytest.approx(4e4, rel=1e-14)  # ends at the horizon
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["time_step"]["dt_au"] == dt
+        assert manifest["time_step"]["dt_source"] == "tolerance"
+        # sample_stride counts steps of the chosen dt
+        _, data = read_csv(out / "timeseries.csv")
+        assert len(data) == math.ceil(steps / 100) + 1
+        assert data[-1, 0] == pytest.approx(4e4, rel=1e-12)
+
+    def test_unpinned_optimize_holds_interior_pulses_within_1e5(self, tmp_path):
+        config = load_config(str(_unpinned_desk(tmp_path, population=3, generations=2,
+                                                elites=1)), None)
+        result = cmd_optimize(config, str(tmp_path / "o"))
+        summary = read_summary(tmp_path / "o")
+        assert summary["dt_source"] == "tolerance"
+        corner = [float(x) for x in summary["dt_worst_corner"].split(", ")]
+        los, his = result["ranges"].as_arrays()
+        assert all(g in (lo, hi) for g, lo, hi in zip(corner, los, his))
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["time_step"]["dt_worst_corner"] == summary["dt_worst_corner"]
+
+        dt = float(summary["dt_au"])
+        spec = solve_spectrum(config.grid, config.potential)
+        problem = LadderProblem(potential=config.potential, dipole=config.dipole,
+                                cap=config.cap, spectrum=spec, initial_level=8,
+                                target_level=2, dt=dt)
+        grid = SplitStepper(config.grid, config.potential, config.dipole, config.cap, 20.0)
+        state = WavefunctionState(psi=spec.wavefunctions[8].astype(complex), t=0.0,
+                                  grid=config.grid)
+        errors = []
+        for ind in init_population(result["ranges"], 10, np.random.default_rng(11)):
+            p, t_end = ind.params, duration(ind.params)
+            got, ref = (propagate(state, p, s, t_end, sample_stride=10**9, spectrum=spec)
+                        for s in (problem.stepper, grid))
+            assert got.dt == dt
+            errors.append(np.max(np.abs(got.populations[-1] - ref.populations[-1])))
+        assert max(errors) < 1e-5
+
+    @pytest.mark.parametrize("preset, outside", [("old20", ["tau0"]),
+                                                 ("old24", ["omega0", "tau0", "tau"]),
+                                                 ("mld20", []), ("mld24", ["chirp"])])
+    def test_published_pulses_outside_their_ga_ranges(self, preset, outside):
+        config = load_config(None, preset)
+        assert _outside_ranges(config.pulse, config.ga.ranges) == outside
+
+    def test_propagate_summary_names_genes_outside_the_ga_ranges(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["propagate", "--preset", "desk", "--pulse", str(DESK_PULSE),
+                     "--out", str(out)]) == 0
+        assert read_summary(out)["pulse_outside_ga_ranges"] == "omega0,tau0,tau"

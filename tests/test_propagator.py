@@ -5,17 +5,20 @@ import pytest
 
 from ladderdown.curves import MorsePotential
 from ladderdown.dvr import RadialGrid, build_hamiltonian, sdme_map, solve_bound_states, solve_spectrum
+from ladderdown import propagator
 from ladderdown.propagator import (
+    POP_TOL,
     CapSpec,
     EigenStepper,
     PropagationBlowupError,
     SplitStepper,
+    TimeStepError,
     WavefunctionState,
     _FieldFactor,
     cap_value,
-    choose_time_step,
     populations,
     propagate,
+    tolerance_time_step,
 )
 from ladderdown.pulse import ChirpedPulseParams, as_field
 from oracles import HarmonicPotential, LinearDipole, ZeroPotential, gaussian_packet
@@ -369,17 +372,6 @@ class TestPropagateBookkeeping:
         assert np.max(np.abs(finals[0] - finals[1])) < 1e-6
 
 
-class TestTimeStepSelection:
-    def test_choose_respects_phase_bounds(self, harmonic_system):
-        grid, pot, dip, _ = harmonic_system
-        dt = choose_time_step(grid, pot, dip, None, eps_max=0.02)
-        w_max = float(np.max(np.abs(pot.value(grid.points))
-                             + 0.02 * np.abs(dip.value(grid.points))))
-        k_nyq = math.pi / grid.dr
-        assert w_max * dt <= 0.1 + 1e-12
-        assert k_nyq**2 / (2.0 * grid.mu) * dt <= 1.0 + 1e-12
-
-
 @pytest.fixture(scope="module")
 def desk_eigen(desk_grid, desk_spectrum, standin_potential, standin_dipole):
     """Desk system with the CAP on, a short chirped pulse and its eigenbasis stepper."""
@@ -459,3 +451,96 @@ class TestEigenStepper:
         moved = WavefunctionState(psi=state.psi, t=0.0, grid=other)
         with pytest.raises(ValueError, match="grid"):
             propagate(moved, pulse, stepper, t_max=1e3)
+
+
+# the pulse that CI propagates on the desk grid; horizon tau0 + 4 tau = 4e4 a.u.
+CI_PULSE = ChirpedPulseParams(eps0=5e-3, omega0=1.5e-4, tau0=2e4, tau=5e3, chirp=1e-11)
+
+
+@pytest.fixture(scope="module")
+def desk_steppers(desk_grid, desk_spectrum, standin_potential, standin_dipole):
+    """The desk grid stepper and the desk eigenbasis stepper, with the desk absorber."""
+    cap = CapSpec(r0=48.0, eta=5e-6)
+    basis = solve_spectrum(desk_grid, standin_potential, threshold=-desk_spectrum.energies[0])
+    return {"grid": SplitStepper(desk_grid, standin_potential, standin_dipole, cap, 40.0),
+            "eigen": EigenStepper(basis, standin_dipole, cap, 40.0)}
+
+
+def final_populations(stepper, spectrum, psi0, field, n):
+    psi = stepper.run(psi0, 0.0, n, as_field(field))
+    return populations(WavefunctionState(psi=psi, t=0.0, grid=spectrum.grid),
+                       spectrum).populations
+
+
+class TestToleranceTimeStep:
+    @pytest.mark.parametrize("kind", ["grid", "eigen"])
+    def test_chosen_dt_holds_every_population_within_tol(self, desk_steppers, desk_spectrum,
+                                                         kind):
+        stepper = desk_steppers[kind]
+        psi0 = desk_spectrum.wavefunctions[8].astype(complex)
+        t_end = CI_PULSE.tau0 + 4 * CI_PULSE.tau
+        choice = tolerance_time_step(stepper, psi0, desk_spectrum, [CI_PULSE], t_end)
+        assert choice.dt * choice.steps == pytest.approx(t_end, rel=1e-14)
+        assert choice.estimate <= POP_TOL / 2 * (1 + 1e-12)
+        got = final_populations(stepper.with_dt(choice.dt), desk_spectrum, psi0, CI_PULSE,
+                                choice.steps)
+        ref = final_populations(stepper.with_dt(5.0), desk_spectrum, psi0, CI_PULSE, 8000)
+        assert np.max(np.abs(ref - ref[8])) > 0.1  # the pulse moves population
+        assert np.max(np.abs(got - ref)) <= POP_TOL
+        # far coarser than the dt 4.3 of the old phase rule, and no coarser than needed
+        assert choice.dt > 10.0
+        assert np.max(np.abs(got - ref)) > POP_TOL / 20
+
+    @pytest.mark.parametrize("kind", ["grid", "eigen"])
+    def test_estimate_falls_by_four_per_halving(self, desk_steppers, desk_spectrum, kind):
+        stepper = desk_steppers[kind]
+        psi0 = desk_spectrum.wavefunctions[8].astype(complex)
+        t_end = CI_PULSE.tau0 + 4 * CI_PULSE.tau
+        choice = tolerance_time_step(stepper, psi0, desk_spectrum, [CI_PULSE], t_end)
+        n = round(t_end / choice.measured_dt)
+        pops = [final_populations(stepper.with_dt(t_end / m), desk_spectrum, psi0, CI_PULSE, m)
+                for m in (n // 2, n, 2 * n, 4 * n)]
+        estimates = [np.max(np.abs(a - b)) / 3 for a, b in zip(pops, pops[1:])]
+        assert estimates[0] == choice.measured_error
+        for coarse, fine in zip(estimates, estimates[1:]):
+            assert 3.0 <= coarse / fine <= 5.0
+
+    def test_search_without_a_dt2_regime_raises(self, desk_steppers, desk_spectrum):
+        # without a field the eigenbasis steps are exact: the estimate is rounding
+        psi0 = desk_spectrum.wavefunctions[8].astype(complex)
+        with pytest.raises(TimeStepError, match="never fell by 4"):
+            tolerance_time_step(desk_steppers["eigen"], psi0, desk_spectrum, [None], 4e4)
+
+    def test_search_stops_at_its_step_limit(self, desk_steppers, desk_spectrum, monkeypatch):
+        monkeypatch.setattr(propagator, "_SEARCH_MAX_STEPS", 8)
+        psi0 = desk_spectrum.wavefunctions[8].astype(complex)
+        with pytest.raises(TimeStepError, match="down to dt 5000"):
+            tolerance_time_step(desk_steppers["grid"], psi0, desk_spectrum, [CI_PULSE], 4e4)
+
+    @pytest.mark.parametrize("kind", ["grid", "eigen"])
+    def test_with_dt_steps_as_a_stepper_built_at_that_dt(self, desk_steppers, desk_grid,
+                                                        desk_spectrum, standin_potential,
+                                                        standin_dipole, kind):
+        cap = CapSpec(r0=48.0, eta=5e-6)
+        if kind == "grid":
+            fresh = SplitStepper(desk_grid, standin_potential, standin_dipole, cap, 25.0)
+        else:
+            basis = solve_spectrum(desk_grid, standin_potential,
+                                   threshold=-desk_spectrum.energies[0])
+            fresh = EigenStepper(basis, standin_dipole, cap, 25.0)
+        psi0 = desk_spectrum.wavefunctions[8].astype(complex)
+        field = as_field(CI_PULSE)
+        moved = desk_steppers[kind].with_dt(25.0)
+        assert np.array_equal(moved.run(psi0, 0.0, 300, field), fresh.run(psi0, 0.0, 300, field))
+        assert desk_steppers[kind].dt == 40.0
+
+    def test_propagate_makes_n_steps_of_span_over_n(self, harmonic_system):
+        # 4e4 / (4e4 / 18283) rounds above 18283 + 1e-12, so an absolute slack would add a step
+        grid, pot, dip, spectrum = harmonic_system
+        t_end, n = 4e4, 18283
+        state = WavefunctionState(psi=spectrum.wavefunctions[0].astype(complex), t=0.0,
+                                  grid=grid)
+        rec = propagate(state, None, SplitStepper(grid, pot, dip, None, t_end / n), t_end,
+                        sample_stride=10**9)
+        assert rec.steps == n
+        assert rec.times[-1] == pytest.approx(t_end, rel=1e-12)
