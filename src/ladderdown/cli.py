@@ -44,7 +44,7 @@ from .dvr import (
     VibrationalSpectrum,
     lifetime,
     sdme_map,
-    solve_spectrum,
+    solve_bound_states,
 )
 from .ga import GaConfig, LadderProblem, SurrogateProblem, optimize
 from .propagator import (
@@ -485,7 +485,8 @@ def _write_csv(out: Path, name: str, header: list[str] | None, rows) -> None:
 
 
 def _write_manifest(out: Path, command: str, config: RunConfig, seed, threads: int | None,
-                    time_step: dict | None = None):
+                    **records: dict | None):
+    """manifest.json and resolved_config.ini; each record given and not None is a key."""
     manifest = {
         "command": command,
         "config_sha256": hashlib.sha256(config.text.encode()).hexdigest(),
@@ -497,8 +498,7 @@ def _write_manifest(out: Path, command: str, config: RunConfig, seed, threads: i
             "scipy": scipy.__version__,
         },
     }
-    if time_step is not None:
-        manifest["time_step"] = time_step
+    manifest.update((k, v) for k, v in records.items() if v is not None)
     _write(out, "resolved_config.ini", config.text)
     _write(out, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -527,7 +527,7 @@ def _bound_spectrum(config: RunConfig, check_levels: bool = True) -> Vibrational
     """The config's bound levels; an empty spectrum, or an initial level
     (the top of the ladder) that is not bound, is a ConfigError."""
     try:
-        spec = solve_spectrum(config.grid, config.potential)
+        spec = solve_bound_states(config.grid, config.potential)
     except EmptySpectrumError:
         raise ConfigError("[potential]: binds no level below 0 on this grid") from None
     if check_levels and config.initial_level >= spec.bound_count:
@@ -578,6 +578,14 @@ def _tolerance_record(choice: TimeStepChoice) -> dict:
             "dt_measured_error": choice.measured_error, "dt_search_steps": choice.search_steps}
 
 
+def _eigensolve_record(spec: VibrationalSpectrum) -> dict:
+    """How the bound levels were solved: lifted from a coarser grid, or dense."""
+    if spec.lift_points is None:
+        return {"eigensolve": "dense", "eigensolve_points": spec.grid.n_points}
+    return {"eigensolve": "lift", "eigensolve_points": spec.lift_points,
+            "eigensolve_residual": spec.lift_residual}
+
+
 def _summary_lines(record: dict) -> list[str]:
     return [f"{k} = {_fmt(v) if isinstance(v, float) else v}" for k, v in record.items()]
 
@@ -608,8 +616,10 @@ def cmd_eigensolve(config: RunConfig, out_dir: str, with_wavefunctions: bool = F
     ]
     if config.cap is not None:
         summary += [f"cap_r0 = {_fmt(config.cap.r0)}", f"cap_eta = {_fmt(config.cap.eta)}"]
+    eigensolve = _eigensolve_record(spec)
+    summary += _summary_lines(eigensolve)
     _write(out, "summary.txt", "\n".join(summary) + "\n")
-    _write_manifest(out, "eigensolve", config, seed=None, threads=None)
+    _write_manifest(out, "eigensolve", config, seed=None, threads=None, eigensolve=eigensolve)
     print(f"eigensolve: {spec.bound_count} bound levels -> {out}")
     return {"bound_count": spec.bound_count, "out": out}
 
@@ -654,12 +664,14 @@ def cmd_propagate(config: RunConfig, out_dir: str, pulse_file: str | None = None
         f"final_dissociation = {_fmt(rec.dissociation[-1])}",
         f"steps = {rec.steps}",
     ]
-    summary += _summary_lines(time_step)
+    eigensolve = _eigensolve_record(spec)
+    summary += _summary_lines(time_step) + _summary_lines(eigensolve)
     if outside is not None:
         summary.append(f"pulse_outside_ga_ranges = {','.join(outside) or 'none'}")
     summary.append(f"wall_time_s = {wall:.3f}")
     _write(out, "summary.txt", "\n".join(summary) + "\n")
-    _write_manifest(out, "propagate", config, seed=None, threads=None, time_step=time_step)
+    _write_manifest(out, "propagate", config, seed=None, threads=None, time_step=time_step,
+                    eigensolve=eigensolve)
     print(
         f"propagate: {rec.steps} steps, p_target={fin[config.target_level]:.4f} -> {out}"
     )
@@ -730,9 +742,13 @@ def cmd_optimize(
     ]
     if time_step is not None:
         summary += _summary_lines(time_step)
+    eigensolve = None
+    if spec is not None:
+        eigensolve = _eigensolve_record(spec)
+        summary += _summary_lines(eigensolve)
     _write(out, "summary.txt", "\n".join(summary) + "\n")
     _write_manifest(out, "optimize", config, seed=used_seed, threads=threads,
-                    time_step=time_step)
+                    time_step=time_step, eigensolve=eigensolve)
     print(f"optimize: best J = {best.fitness:.6f} after {history.evaluations} evaluations -> {out}")
     return {"best": best, "history": history, "ranges": ranges, "out": out}
 

@@ -11,23 +11,62 @@ matrix has the closed form
 grid wavefunctions, from which the squared dipole matrix elements, Einstein
 coefficients, and radiative lifetimes follow by grid quadrature.
 
-The eigensolve runs the LAPACK steps of a by-value ``dsyevr`` in place, on the
-Hamiltonian's own storage: Householder tridiagonalization (``dsytrd``),
-bisection and inverse iteration for the levels below the threshold only
-(``dstebz``/``dstein``), and back-transformation of just those vectors
-(``dormqr`` on the stored reflectors). The Hamiltonian is consumed as
-workspace, and no other n x n array is made.
+``solve_bound_states`` picks one of two solves from the grid's oversampling of
+the largest local momentum below the threshold, k_max = sqrt(2 mu (threshold
+- min V)):
+
+* Lift. A sinc-DVR grid resolves a level once its spacing is below pi / k_max,
+  and its error then falls exponentially (Colbert & Miller, J. Chem. Phys. 96,
+  1982 (1992)). The levels are solved on the grid's interval at the spacing
+  pi / (2 k_max), a margin of 2, sinc-interpolated onto the grid,
+  orthonormalized and refined by one Rayleigh-Ritz step with the grid's H,
+  applied without forming it (T is Toeplitz, V diagonal). This runs when the
+  solve grid has at most a quarter of the grid's points. On the 5600-point
+  production grid and threshold 0 it solves 927 points in ~0.4 s instead of
+  ~14 s, with energies within 3e-17 hartree of the dense solve and
+  wavefunctions within 2e-13 (in units of dr^-1/2). At a margin of 1.5
+  (696 points) the Ritz residual rose to 8e-9 hartree, so the margin is 2.
+* Dense. The grid's own H is formed and solved by the LAPACK steps of a
+  by-value ``dsyevr``, run in place on H's storage: Householder
+  tridiagonalization (``dsytrd``), bisection and inverse iteration for the
+  levels below the threshold only (``dstebz``/``dstein``), and
+  back-transformation of just those vectors (``dormqr`` on the stored
+  reflectors). H is consumed as workspace, and no other n x n array is made.
+  This runs for better-sampled grids, such as the 1024-point desk grid (398
+  solve points, over a quarter), and for every lift that is refused.
+
+A lift is accepted only if every Ritz value stays below the threshold and
+every Ritz residual ||H psi - E psi|| is at most ``LIFT_RESIDUAL`` = 1e-12
+hartree. For symmetric H that residual bounds the distance of each lifted
+energy from an eigenvalue of the grid's H, and a wavefunction's error by the
+residual over the gap to the next level. States whose shape depends on the
+grid's ends are refused as soon as the solve grid has found them, by the rule
+that no level may lie above V at either end of the grid. Above the
+dissociation limit, as in the GA's basis below ``-E_0``, the levels are box
+states of the grid's interval, and the solve grid's box is not the grid's:
+lifted, the production basis has Ritz residuals of ~4e-3 hartree.
+The residual cannot show a level that the solve grid misses altogether, such
+as one within the solve grid's error of the threshold: that the solve grid
+finds every level rests on its margin over the largest classically allowed
+momentum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft as sfft
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .constants import AU_TIME_S, C_AU
+
+# hartree; the largest Ritz residual ||H psi - E psi|| of an accepted lift
+LIFT_RESIDUAL = 1e-12
+# output-grid rows of the sinc interpolation matrix formed at a time
+_LIFT_ROWS = 512
 
 
 class EmptySpectrumError(Exception):
@@ -76,12 +115,16 @@ class VibrationalSpectrum:
 
     ``wavefunctions[v]`` is the real grid function of level v, normalized so
     that dr * sum(psi**2) == 1, with the sign fixed so the first extremum is
-    positive.
+    positive. ``lift_points`` and ``lift_residual`` record a lift: the points
+    of the grid the levels were solved on and the largest Ritz residual in
+    hartree. Both are None when H was solved on ``grid`` itself.
     """
 
     energies: np.ndarray
     wavefunctions: np.ndarray
     grid: RadialGrid
+    lift_points: int | None = None
+    lift_residual: float | None = None
 
     def __post_init__(self):
         e = np.asarray(self.energies, dtype=float)
@@ -115,16 +158,37 @@ class SdmeMap:
         object.__setattr__(self, "values", v)
 
 
-def build_hamiltonian(grid: RadialGrid, potential) -> np.ndarray:
-    """Dense symmetric DVR Hamiltonian T + diag(V) on the grid."""
+def _kinetic_column(grid: RadialGrid) -> np.ndarray:
+    """First column of the sinc-DVR kinetic matrix T, which is symmetric Toeplitz."""
     n = grid.n_points
     coeff = 1.0 / (2.0 * grid.mu * grid.dr**2)
     col = np.empty(n)
     col[0] = np.pi**2 / 3.0
     m = np.arange(1, n)
     col[1:] = np.where(m % 2 == 0, 2.0, -2.0) / m.astype(float) ** 2
-    h = sla.toeplitz(coeff * col)
-    idx = np.arange(n)
+    return coeff * col
+
+
+def _kinetic_times(grid: RadialGrid, x: np.ndarray) -> np.ndarray:
+    """T @ x without forming T.
+
+    T is the top-left n x n block of a circulant whose first column holds T's
+    first column, zeros, and that column reversed; the circulant is applied by
+    real FFTs of a fast length of at least 2n - 1.
+    """
+    col = _kinetic_column(grid)
+    n = len(col)
+    m = sfft.next_fast_len(2 * n - 1, real=True)
+    circulant = np.zeros(m)
+    circulant[:n], circulant[m - n + 1:] = col, col[:0:-1]
+    product = sfft.rfft(circulant)[:, None] * sfft.rfft(x, m, axis=0)
+    return sfft.irfft(product, m, axis=0)[:n]
+
+
+def build_hamiltonian(grid: RadialGrid, potential) -> np.ndarray:
+    """Dense symmetric DVR Hamiltonian T + diag(V) on the grid."""
+    h = sla.toeplitz(_kinetic_column(grid))
+    idx = np.arange(grid.n_points)
     h[idx, idx] += potential.value(grid.points)
     return h
 
@@ -138,7 +202,71 @@ def _fix_sign(psi: np.ndarray) -> np.ndarray:
     return -psi if psi[i] < 0 else psi
 
 
-def solve_bound_states(
+def solve_bound_states(grid: RadialGrid, potential, threshold: float = 0.0) -> VibrationalSpectrum:
+    """All levels of T + V on ``grid`` below ``threshold``, normalized and sign-fixed.
+
+    With k_max = sqrt(2 mu (threshold - min V)), the levels are solved on the
+    grid's interval at the spacing pi / (2 k_max) and lifted to ``grid`` when
+    that takes at most a quarter of its points; otherwise, or when the lift is
+    refused, ``grid``'s own H is solved in place (see the module docstring).
+    A lifted energy lies within its Ritz residual, at most ``LIFT_RESIDUAL`` =
+    1e-12 hartree, of an eigenvalue of ``grid``'s H. A lift is refused when a
+    level solved on the coarse grid lies above V at an end of the grid, when a
+    Ritz value rises above ``threshold``, or when a residual exceeds that bound.
+
+    The default threshold 0 is the dissociation limit of every shipped
+    potential. Raises EmptySpectrumError when nothing is bound, at once for a
+    threshold at or below min V (T is positive definite), and ValueError for
+    a potential that is not finite on the grid.
+    """
+    v = np.asarray_chkfinite(potential.value(grid.points), dtype=float)
+    depth = threshold - v.min()
+    if not depth > 0.0:
+        raise EmptySpectrumError(f"no eigenvalue below threshold {threshold}, min V = {v.min()}")
+    k_max = math.sqrt(2.0 * grid.mu * depth)
+    points = max(16, math.ceil((grid.r_max - grid.r_min) * 2.0 * k_max / math.pi) + 1)
+    if 4 * points <= grid.n_points:
+        lifted = _lift(grid, v, potential, threshold, points)
+        if lifted is not None:
+            return lifted
+    return _solve_in_place(build_hamiltonian(grid, potential), grid, threshold)
+
+
+def _lift(grid: RadialGrid, v: np.ndarray, potential, threshold: float,
+          points: int) -> VibrationalSpectrum | None:
+    """The levels solved on ``points`` points and lifted to ``grid``; None if refused.
+
+    ``v`` is the potential on ``grid``. Each level solved on the coarse grid
+    is sinc-interpolated, psi(r_j) = sum_i psi(s_i) sinc((r_j - s_i) / ds),
+    with the argument formed from the difference of the two points. The lifted
+    vectors are orthonormalized by QR, and ``grid``'s H = T + diag(V) is
+    applied to them with T as an FFT product.
+    """
+    coarse = RadialGrid(r_min=grid.r_min, r_max=grid.r_max, n_points=points, mu=grid.mu)
+    try:
+        solved = _solve_in_place(build_hamiltonian(coarse, potential), coarse, threshold)
+    except EmptySpectrumError:
+        return None
+    if solved.energies[-1] > min(v[0], v[-1]):
+        return None  # a level reaches an end of the grid, where the two grids differ
+    r, s, ds = grid.points, coarse.points, coarse.dr
+    lifted = np.empty((grid.n_points, solved.bound_count))
+    for a in range(0, grid.n_points, _LIFT_ROWS):
+        rows = slice(a, a + _LIFT_ROWS)
+        lifted[rows] = np.sinc((r[rows, None] - s) / ds) @ solved.wavefunctions.T
+    q, _ = np.linalg.qr(lifted)
+    hq = _kinetic_times(grid, q) + v[:, None] * q
+    energies, w = np.linalg.eigh(q.T @ hq)
+    vecs = q @ w
+    residual = float(np.max(np.linalg.norm(hq @ w - vecs * energies, axis=0)))
+    if energies[-1] > threshold or not residual <= LIFT_RESIDUAL:
+        return None
+    psi = np.array([_fix_sign(col) for col in vecs.T / np.sqrt(grid.dr)])
+    return VibrationalSpectrum(energies=energies, wavefunctions=psi, grid=grid,
+                               lift_points=points, lift_residual=residual)
+
+
+def _solve_in_place(
     h: np.ndarray, grid: RadialGrid, threshold: float = 0.0
 ) -> VibrationalSpectrum:
     """All eigenpairs of ``h`` below ``threshold``, normalized and sign-fixed.
@@ -150,9 +278,7 @@ def solve_bound_states(
     iteration (``dstebz``/``dstein``), and applies the stored Householder
     reflectors to those vectors only (``dormqr``). An ``h`` that is not a C- or
     Fortran-contiguous float64 array is copied first, and the copy consumed.
-
-    The default threshold 0 is the dissociation limit of every shipped
-    potential. Raises EmptySpectrumError when nothing is bound.
+    Raises EmptySpectrumError when no eigenvalue lies below ``threshold``.
     """
     # h is symmetric, so h.T is the same matrix in the column-major order that
     # LAPACK reads, and a C-ordered h is reduced where it lies.
@@ -180,8 +306,8 @@ def solve_bound_states(
 
 
 def solve_spectrum(grid: RadialGrid, potential, threshold: float = 0.0) -> VibrationalSpectrum:
-    """Convenience: build the Hamiltonian and solve in one call."""
-    return solve_bound_states(build_hamiltonian(grid, potential), grid, threshold)
+    """``solve_bound_states`` under its earlier name."""
+    return solve_bound_states(grid, potential, threshold)
 
 
 def sdme_map(spectrum: VibrationalSpectrum, dipole) -> SdmeMap:

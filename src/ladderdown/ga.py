@@ -22,7 +22,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .dvr import VibrationalSpectrum, solve_spectrum
+from .dvr import VibrationalSpectrum, solve_bound_states
 from .propagator import (
     CapSpec,
     EigenStepper,
@@ -123,7 +123,7 @@ class LadderProblem:
 
     def _eigen_stepper(self, dt: float) -> EigenStepper:
         ecut = -float(self.spectrum.energies[0])
-        basis = solve_spectrum(self.spectrum.grid, self.potential, threshold=ecut)
+        basis = solve_bound_states(self.spectrum.grid, self.potential, threshold=ecut)
         return EigenStepper(basis, self.dipole, self.cap, dt)
 
     @cached_property

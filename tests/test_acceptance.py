@@ -13,7 +13,6 @@ import pytest
 from ladderdown.curves import MorsePotential
 from ladderdown.dvr import (
     RadialGrid,
-    build_hamiltonian,
     sdme_map,
     solve_bound_states,
     solve_spectrum,
@@ -65,9 +64,7 @@ def test_criterion_1_dvr_correctness():
     checks = []
 
     grid = RadialGrid(r_min=2.0, r_max=18.0, n_points=256, mu=1.0)
-    harm = solve_bound_states(
-        build_hamiltonian(grid, HarmonicPotential(1.0, 1.0, 10.0)), grid, threshold=12.0
-    )
+    harm = solve_bound_states(grid, HarmonicPotential(1.0, 1.0, 10.0), threshold=12.0)
     expected = np.arange(10) + 0.5
     rel = np.max(np.abs(harm.energies[:10] - expected) / expected)
     checks.append((f"harmonic lowest 10 within 1e-8 (got {rel:.2e})", rel < 1e-8))
@@ -94,9 +91,7 @@ def test_criterion_1_dvr_correctness():
 
 def test_criterion_2_sdme_oracle():
     grid = RadialGrid(r_min=2.0, r_max=18.0, n_points=256, mu=1.0)
-    spec = solve_bound_states(
-        build_hamiltonian(grid, HarmonicPotential(1.0, 1.0, 10.0)), grid, threshold=12.0
-    )
+    spec = solve_bound_states(grid, HarmonicPotential(1.0, 1.0, 10.0), threshold=12.0)
     sd = sdme_map(spec, LinearDipole(10.0))
     checks = [("map symmetry exact", np.array_equal(sd.values, sd.values.T))]
     worst = 0.0
@@ -112,7 +107,7 @@ def test_criterion_3_propagator_unitarity_and_order():
     grid = RadialGrid(r_min=2.0, r_max=18.0, n_points=256, mu=1.0)
     pot = HarmonicPotential(1.0, 1.0, 10.0)
     dip = LinearDipole(10.0)
-    spec = solve_bound_states(build_hamiltonian(grid, pot), grid, threshold=12.0)
+    spec = solve_bound_states(grid, pot, threshold=12.0)
     pulse = ChirpedPulseParams(eps0=0.02, omega0=1.0, tau0=5.0, tau=2.0, chirp=0.05)
 
     psi0 = (spec.wavefunctions[0] + spec.wavefunctions[1]) / math.sqrt(2.0)

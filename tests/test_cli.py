@@ -157,6 +157,16 @@ class TestEigensolve:
         assert "numpy" in manifest["versions"]
         assert (out / "resolved_config.ini").exists()
 
+    def test_summary_and_manifest_record_the_lift(self, old20_run):
+        out, _ = old20_run
+        summary = read_summary(out)
+        assert (summary["eigensolve"], summary["eigensolve_points"]) == ("lift", "927")
+        residual = float(summary["eigensolve_residual"])
+        assert 0.0 < residual <= 1e-12
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["eigensolve"] == {"eigensolve": "lift", "eigensolve_points": 927,
+                                          "eigensolve_residual": residual}
+
     def test_desk_rerun_is_deterministic(self, tmp_path):
         out = tmp_path / "a"
         rc = main(["eigensolve", "--preset", "desk", "--out", str(out)])
@@ -281,11 +291,15 @@ class TestOptimize:
     def test_best_pulse_feeds_back_into_propagate(self, tmp_path):
         out = tmp_path / "opt"
         config = load_config(None, "old20")
-        cmd_optimize(config, str(out), surrogate=True, seed=3)
+        best = cmd_optimize(config, str(out), surrogate=True, seed=3)["best"]
         best_file = out / "best_pulse.cfg"
         assert best_file.exists()
-        # chain: the optimizer's output is a valid propagate pulse file
-        desk = load_config(None, "desk")
+        # chain: the optimizer's output is a valid propagate pulse file. Its
+        # horizon is ~5e7 a.u., so the desk grid replays it in 2000 steps
+        # instead of the desk preset's dt 40.
+        dt = duration(best.params) / 2000
+        desk = parse_config(PRESETS["desk"].replace("dt = 40.0\n", f"dt = {dt!r}\n"))
+        assert desk.dt == dt
         run_out = tmp_path / "chained"
         result = cmd_propagate(desk, str(run_out), pulse_file=str(best_file))
         assert (run_out / "timeseries.csv").exists()
@@ -600,6 +614,9 @@ class TestTimeStep:
         assert "dt_tol" not in summary
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["time_step"] == {"dt_au": 40.0, "dt_source": "config"}
+        # the desk grid oversamples its largest momentum only 2.6 times
+        assert (summary["eigensolve"], summary["eigensolve_points"]) == ("dense", "1024")
+        assert manifest["eigensolve"] == {"eigensolve": "dense", "eigensolve_points": 1024}
 
     def test_surrogate_run_keeps_its_stored_files_byte_for_byte(self, tmp_path):
         out = tmp_path / "o"
@@ -639,6 +656,7 @@ class TestTimeStep:
         assert all(g in (lo, hi) for g, lo, hi in zip(corner, los, his))
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["time_step"]["dt_worst_corner"] == summary["dt_worst_corner"]
+        assert summary["eigensolve"] == "dense"
 
         dt = float(summary["dt_au"])
         spec = solve_spectrum(config.grid, config.potential)

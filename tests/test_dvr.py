@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from ladderdown import dvr
 from ladderdown.constants import AU_TIME_S, C_AU, MU_K39RB87
 from ladderdown.curves import MorsePotential
 from ladderdown.dvr import (
+    LIFT_RESIDUAL,
     EmptySpectrumError,
     RadialGrid,
     SdmeMap,
     VibrationalSpectrum,
     _fix_sign,
+    _solve_in_place,
     build_hamiltonian,
     einstein_rate,
     lifetime,
@@ -47,7 +50,7 @@ def count_nodes(psi):
 def harmonic_setup():
     grid = RadialGrid(r_min=2.0, r_max=18.0, n_points=256, mu=1.0)
     pot = HarmonicPotential(mu=1.0, w=1.0, r0=10.0)
-    spectrum = solve_bound_states(build_hamiltonian(grid, pot), grid, threshold=12.0)
+    spectrum = solve_bound_states(grid, pot, threshold=12.0)
     return grid, pot, spectrum
 
 
@@ -134,9 +137,20 @@ class TestBoundStates:
 
     def test_empty_spectrum_error(self):
         grid = RadialGrid(r_min=1.0, r_max=20.0, n_points=64, mu=1.0)
-        h = build_hamiltonian(grid, ZeroPotential())
         with pytest.raises(EmptySpectrumError):
-            solve_bound_states(h, grid, threshold=-1.0)
+            solve_bound_states(grid, ZeroPotential(), threshold=-1.0)
+
+    def test_threshold_below_min_v_raises_before_any_solve(
+        self, production_grid, standin_potential, monkeypatch
+    ):
+        def fail(*args):
+            raise AssertionError("no eigensolve is needed below min V")
+
+        monkeypatch.setattr(dvr, "_solve_in_place", fail)
+        v_min = standin_potential.value(production_grid.points).min()
+        for threshold in (v_min, v_min - 1e-6):
+            with pytest.raises(EmptySpectrumError):
+                solve_bound_states(production_grid, standin_potential, threshold)
 
 
 def _dense_reference(h, grid, threshold):
@@ -148,7 +162,7 @@ def _dense_reference(h, grid, threshold):
 
 
 class TestInPlaceSolve:
-    """solve_bound_states consumes h and must agree with a dense eigh of it."""
+    """The in-place kernel consumes h and must agree with a dense eigh of it."""
 
     @pytest.fixture(params=["desk", "harmonic"])
     def case(self, request, desk_grid, standin_potential):
@@ -161,7 +175,7 @@ class TestInPlaceSolve:
         grid, pot, threshold = case
         h = build_hamiltonian(grid, pot)
         w, below, psi = _dense_reference(h, grid, threshold)
-        spectrum = solve_bound_states(h, grid, threshold)
+        spectrum = _solve_in_place(h, grid, threshold)
         assert spectrum.bound_count == np.count_nonzero(below)
         # both are backward stable, so they agree to rounding of the largest |E|
         assert np.max(np.abs(spectrum.energies - w[below])) < 1e-14 * np.max(np.abs(w))
@@ -172,13 +186,13 @@ class TestInPlaceSolve:
         w = sla.eigvalsh(build_hamiltonian(grid, pot))
         for j in (0, 5, 11):
             delta = 1e-3 * (w[j + 1] - w[j])
-            above = solve_bound_states(build_hamiltonian(grid, pot), grid, w[j] + delta)
+            above = _solve_in_place(build_hamiltonian(grid, pot), grid, w[j] + delta)
             assert above.bound_count == np.count_nonzero(w < w[j] + delta) == j + 1
             if j == 0:
                 with pytest.raises(EmptySpectrumError):
-                    solve_bound_states(build_hamiltonian(grid, pot), grid, w[j] - delta)
+                    _solve_in_place(build_hamiltonian(grid, pot), grid, w[j] - delta)
             else:
-                below = solve_bound_states(build_hamiltonian(grid, pot), grid, w[j] - delta)
+                below = _solve_in_place(build_hamiltonian(grid, pot), grid, w[j] - delta)
                 assert below.bound_count == np.count_nonzero(w < w[j] - delta) == j
 
     def test_scratch_is_small_next_to_h(self, standin_potential):
@@ -188,7 +202,7 @@ class TestInPlaceSolve:
         size = h.nbytes
         tracemalloc.start()
         try:
-            spectrum = solve_bound_states(h, grid)
+            spectrum = _solve_in_place(h, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -199,7 +213,7 @@ class TestInPlaceSolve:
         h = build_hamiltonian(desk_grid, standin_potential)
         h[5, 7] = np.nan
         with pytest.raises(ValueError):
-            solve_bound_states(h, desk_grid)
+            _solve_in_place(h, desk_grid)
 
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
     def test_non_c_contiguous_h_gives_the_same_spectrum(self, layout, desk_grid,
@@ -211,10 +225,59 @@ class TestInPlaceSolve:
             wide = np.zeros((2 * len(h), 2 * len(h)))
             wide[::2, ::2] = h
             h = wide[::2, ::2]
-        spectrum = solve_bound_states(h, desk_grid)
+        spectrum = _solve_in_place(h, desk_grid)
         assert spectrum.bound_count == desk_spectrum.bound_count
         assert np.max(np.abs(spectrum.energies - desk_spectrum.energies)) < 1e-18
         assert np.max(np.abs(spectrum.wavefunctions - desk_spectrum.wavefunctions)) < 1e-10
+
+
+class TestLift:
+    """solve_bound_states lifts when the Nyquist grid has at most a quarter of the points."""
+
+    @pytest.fixture(scope="class")
+    def production_basis(self, production_grid, standin_potential, production_spectrum):
+        """Levels below -E_0 on the production grid, with every kernel call recorded."""
+        calls = []
+
+        def recorded(h, grid, threshold=0.0):
+            calls.append((grid.n_points, _solve_in_place(h, grid, threshold)))
+            return calls[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dvr, "_solve_in_place", recorded)
+            basis = solve_bound_states(production_grid, standin_potential,
+                                       threshold=-production_spectrum.energies[0])
+        return basis, calls
+
+    def test_production_levels_are_lifted_from_927_points(self, production_spectrum):
+        assert production_spectrum.lift_points == 927
+        assert 0.0 < production_spectrum.lift_residual <= LIFT_RESIDUAL
+
+    def test_lift_matches_the_in_place_solve_of_the_full_h(
+        self, production_spectrum, production_basis
+    ):
+        # the dense levels below -E_0 start with the 30 bound ones
+        dense = production_basis[0]
+        n = production_spectrum.bound_count
+        assert np.all(dense.energies[n:] > 0.0)
+        assert np.max(np.abs(production_spectrum.energies - dense.energies[:n])) <= 1e-14
+        dpsi = production_spectrum.wavefunctions - dense.wavefunctions[:n]
+        assert np.max(np.abs(dpsi)) * math.sqrt(production_spectrum.grid.dr) <= 1e-11
+
+    def test_refused_lift_returns_the_in_place_solve(self, production_basis):
+        # box states above the dissociation limit depend on the grid's ends
+        basis, calls = production_basis
+        assert [points for points, _ in calls] == [1300, 5600]
+        assert basis is calls[-1][1]
+        assert basis.lift_points is None and basis.lift_residual is None
+        assert basis.bound_count == 455
+
+    def test_desk_grid_takes_the_dense_path_bitwise(self, desk_grid, standin_potential):
+        spectrum = solve_bound_states(desk_grid, standin_potential)
+        kernel = _solve_in_place(build_hamiltonian(desk_grid, standin_potential), desk_grid)
+        assert spectrum.lift_points is None
+        assert np.array_equal(spectrum.energies, kernel.energies)
+        assert np.array_equal(spectrum.wavefunctions, kernel.wavefunctions)
 
 
 class TestSdme:

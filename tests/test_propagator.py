@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ladderdown.curves import MorsePotential
-from ladderdown.dvr import RadialGrid, build_hamiltonian, sdme_map, solve_bound_states, solve_spectrum
+from ladderdown.dvr import RadialGrid, sdme_map, solve_bound_states, solve_spectrum
 from ladderdown import propagator
 from ladderdown.propagator import (
     POP_TOL,
@@ -29,7 +29,7 @@ def harmonic_system():
     grid = RadialGrid(r_min=2.0, r_max=18.0, n_points=256, mu=1.0)
     pot = HarmonicPotential(mu=1.0, w=1.0, r0=10.0)
     dip = LinearDipole(10.0)
-    spectrum = solve_bound_states(build_hamiltonian(grid, pot), grid, threshold=12.0)
+    spectrum = solve_bound_states(grid, pot, threshold=12.0)
     return grid, pot, dip, spectrum
 
 
