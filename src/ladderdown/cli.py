@@ -661,7 +661,8 @@ def cmd_propagate(config: RunConfig, out_dir: str, pulse_file: str | None = None
         f"final_p_target = {_fmt(fin[config.target_level])}",
         f"final_p_initial = {_fmt(fin[config.initial_level])}",
         f"final_total_bound = {_fmt(rec.total_bound[-1])}",
-        f"final_dissociation = {_fmt(rec.dissociation[-1])}",
+        # 1 - norm dips below 0 when rounding lifts the norm above 1
+        f"final_dissociation = {_fmt(max(rec.dissociation[-1], 0.0))}",
         f"steps = {rec.steps}",
     ]
     eigensolve = _eigensolve_record(spec)

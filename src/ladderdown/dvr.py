@@ -18,14 +18,15 @@ the largest local momentum below the threshold, k_max = sqrt(2 mu (threshold
 * Lift. A sinc-DVR grid resolves a level once its spacing is below pi / k_max,
   and its error then falls exponentially (Colbert & Miller, J. Chem. Phys. 96,
   1982 (1992)). The levels are solved on the grid's interval at the spacing
-  pi / (2 k_max), a margin of 2, sinc-interpolated onto the grid,
-  orthonormalized and refined by one Rayleigh-Ritz step with the grid's H,
-  applied without forming it (T is Toeplitz, V diagonal). This runs when the
-  solve grid has at most a quarter of the grid's points. On the 5600-point
-  production grid and threshold 0 it solves 927 points in ~0.4 s instead of
-  ~14 s, with energies within 3e-17 hartree of the dense solve and
-  wavefunctions within 2e-13 (in units of dr^-1/2). At a margin of 1.5
-  (696 points) the Ritz residual rose to 8e-9 hartree, so the margin is 2.
+  pi / (2 k_max), a margin of 2, sinc-interpolated onto the grid with one
+  sine per grid point (``_sinc_interpolate``), and refined by one
+  Rayleigh-Ritz step, L^T H L w = E L^T L w on the lifted block L, with the
+  grid's H applied without forming it (T is Toeplitz, V diagonal). This runs
+  when the solve grid has at most a quarter of the grid's points. On the
+  5600-point production grid and threshold 0 it solves 927 points in ~0.15 s
+  instead of ~14 s (2 vCPUs), with energies within 3e-17 hartree of the dense
+  solve and wavefunctions within 2e-13 (in units of dr^-1/2). At a margin of
+  1.5 (696 points) the Ritz residual rose to 8e-9 hartree, so the margin is 2.
 * Dense. The grid's own H is formed and solved by the LAPACK steps of a
   by-value ``dsyevr``, run in place on H's storage: Householder
   tridiagonalization (``dsytrd``), bisection and inverse iteration for the
@@ -236,11 +237,10 @@ def _lift(grid: RadialGrid, v: np.ndarray, potential, threshold: float,
           points: int) -> VibrationalSpectrum | None:
     """The levels solved on ``points`` points and lifted to ``grid``; None if refused.
 
-    ``v`` is the potential on ``grid``. Each level solved on the coarse grid
-    is sinc-interpolated, psi(r_j) = sum_i psi(s_i) sinc((r_j - s_i) / ds),
-    with the argument formed from the difference of the two points. The lifted
-    vectors are orthonormalized by QR, and ``grid``'s H = T + diag(V) is
-    applied to them with T as an FFT product.
+    ``v`` is the potential on ``grid``. The levels solved on the coarse grid
+    are sinc-interpolated onto ``grid`` as the block L, and ``grid``'s H =
+    T + diag(V) is applied to L with T as an FFT product. The Ritz pairs solve
+    L^T H L w = E L^T L w, which leaves L @ w orthonormal.
     """
     coarse = RadialGrid(r_min=grid.r_min, r_max=grid.r_max, n_points=points, mu=grid.mu)
     try:
@@ -249,21 +249,40 @@ def _lift(grid: RadialGrid, v: np.ndarray, potential, threshold: float,
         return None
     if solved.energies[-1] > min(v[0], v[-1]):
         return None  # a level reaches an end of the grid, where the two grids differ
-    r, s, ds = grid.points, coarse.points, coarse.dr
-    lifted = np.empty((grid.n_points, solved.bound_count))
-    for a in range(0, grid.n_points, _LIFT_ROWS):
-        rows = slice(a, a + _LIFT_ROWS)
-        lifted[rows] = np.sinc((r[rows, None] - s) / ds) @ solved.wavefunctions.T
-    q, _ = np.linalg.qr(lifted)
-    hq = _kinetic_times(grid, q) + v[:, None] * q
-    energies, w = np.linalg.eigh(q.T @ hq)
-    vecs = q @ w
-    residual = float(np.max(np.linalg.norm(hq @ w - vecs * energies, axis=0)))
+    lifted = _sinc_interpolate((grid.points - grid.r_min) / coarse.dr, solved.wavefunctions.T)
+    hl = _kinetic_times(grid, lifted) + v[:, None] * lifted
+    energies, w = sla.eigh(lifted.T @ hl, lifted.T @ lifted)
+    vecs = lifted @ w
+    residual = float(np.max(np.linalg.norm(hl @ w - vecs * energies, axis=0)))
     if energies[-1] > threshold or not residual <= LIFT_RESIDUAL:
         return None
     psi = np.array([_fix_sign(col) for col in vecs.T / np.sqrt(grid.dr)])
     return VibrationalSpectrum(energies=energies, wavefunctions=psi, grid=grid,
                                lift_points=points, lift_residual=residual)
+
+
+def _sinc_interpolate(u: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """sum_i samples[i] sinc(u - i) at each point u, the samples lying on 0, 1, ...
+
+    With u = n + f, n the nearest integer, sinc(u - i) = (-1)^(n + i) sin(pi f) /
+    (pi (u - i)): one sine per point, and per block of ``_LIFT_ROWS`` points one
+    reciprocal and one matmul with the samples signed by (-1)^i. A point with
+    f == 0, as the first grid point always has, copies its sample.
+    """
+    n = np.rint(u)
+    f = u - n
+    scale = np.sin(np.pi * f) / np.pi * (1.0 - 2.0 * (n % 2))
+    i = np.arange(len(samples))
+    signed = samples * (1.0 - 2.0 * (i % 2))[:, None]
+    out = np.empty((len(u), samples.shape[1]))
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows with f == 0, replaced below
+        for a in range(0, len(u), _LIFT_ROWS):
+            rows = slice(a, a + _LIFT_ROWS)
+            kernel = u[rows, None] - i
+            out[rows] = scale[rows, None] * (np.reciprocal(kernel, out=kernel) @ signed)
+    hits = f == 0.0
+    out[hits] = samples[n[hits].astype(int)]
+    return out
 
 
 def _solve_in_place(

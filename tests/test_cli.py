@@ -611,6 +611,10 @@ class TestTimeStep:
         assert (out / "timeseries.csv").read_bytes() == stored.read_bytes()
         summary = read_summary(out)
         assert (summary["dt_au"], summary["dt_source"]) == ("40.0", "config")
+        # rounding lifts the norm above 1; the summary clamps 1 - norm, the CSV keeps it
+        header, data = read_csv(out / "timeseries.csv")
+        assert data[-1, header.index("dissociation")] < 0.0
+        assert summary["final_dissociation"] == "0.0"
         assert "dt_tol" not in summary
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["time_step"] == {"dt_au": 40.0, "dt_source": "config"}

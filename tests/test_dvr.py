@@ -272,6 +272,31 @@ class TestLift:
         assert basis.lift_points is None and basis.lift_residual is None
         assert basis.bound_count == 455
 
+    @pytest.mark.parametrize("n_points, exact", [(5600, 2), (5557, 609)])
+    def test_factored_kernel_matches_np_sinc(self, n_points, exact, standin_potential):
+        # 5556 = 6 x 926: 609 points land exactly on a coarse point, 318 within rounding
+        coarse = RadialGrid(r_min=6.0, r_max=146.0, n_points=927, mu=MU_K39RB87)
+        levels = solve_bound_states(coarse, standin_potential).wavefunctions.T
+        r = RadialGrid(r_min=6.0, r_max=146.0, n_points=n_points, mu=MU_K39RB87).points
+        u = (r - coarse.r_min) / coarse.dr
+        assert np.count_nonzero(u == np.rint(u)) == exact
+        got = dvr._sinc_interpolate(u, levels)
+        want = np.sinc((r[:, None] - coarse.points) / coarse.dr) @ levels
+        assert np.all(np.isfinite(got)) and np.all(np.isfinite(want))
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_lift_peak_memory_stays_below_a_full_kernel(self, production_grid,
+                                                        standin_potential):
+        # 16.1 MiB was the peak with np.sinc blocks and QR; a 5600 x 927 kernel is 41 MB
+        tracemalloc.start()
+        try:
+            spectrum = solve_bound_states(production_grid, standin_potential)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spectrum.lift_points == 927
+        assert peak < 16 * 2**20
+
     def test_desk_grid_takes_the_dense_path_bitwise(self, desk_grid, standin_potential):
         spectrum = solve_bound_states(desk_grid, standin_potential)
         kernel = _solve_in_place(build_hamiltonian(desk_grid, standin_potential), desk_grid)
