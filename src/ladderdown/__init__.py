@@ -18,14 +18,11 @@ from .curves import (
 )
 from .dvr import (
     RadialGrid,
-    SdmeMap,
     VibrationalSpectrum,
     build_hamiltonian,
-    einstein_rate,
     lifetime,
     sdme_map,
     solve_bound_states,
-    solve_spectrum,
 )
 from .ga import (
     GaConfig,

@@ -268,7 +268,16 @@ class RunConfig:
     text: str
 
 
-def _get(cp, section, key, cast, default=_REQUIRED):
+class _Ini(configparser.ConfigParser):
+    """A parsed INI text that records each (section, key) ``_get`` asks for."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked: set[tuple[str, str]] = set()
+
+
+def _get(cp: _Ini, section, key, cast, default=_REQUIRED):
+    cp.asked.add((section, key))
     raw = cp.get(section, key, fallback=None)
     if raw is None:
         if default is _REQUIRED:
@@ -333,8 +342,8 @@ def _load_curve(section: str, path: str, grid: RadialGrid) -> TabulatedCurve:
     return curve
 
 
-def _read_ini(text: str) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
+def _read_ini(text: str) -> _Ini:
+    cp = _Ini()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -342,7 +351,19 @@ def _read_ini(text: str) -> configparser.ConfigParser:
     return cp
 
 
-def _parse_pulse(cp: configparser.ConfigParser) -> ChirpedPulseParams | None:
+def _refuse_unread(cp: _Ini) -> None:
+    """A ConfigError for the first section or key that ``_get`` never asked for."""
+    for section in cp.sections():
+        read = sorted(k for s, k in cp.asked if s == section)
+        if not read:
+            raise ConfigError(f"[{section}]: unknown section")
+        unread = [k for k in cp.options(section) if k not in read]
+        if unread:
+            raise ConfigError(f"[{section}] {unread[0]}: unknown key; this section reads "
+                              + ", ".join(read))
+
+
+def _parse_pulse(cp: _Ini) -> ChirpedPulseParams | None:
     if not cp.has_section("pulse"):
         return None
     return _build("pulse", ChirpedPulseParams,
@@ -360,18 +381,18 @@ def parse_config(text: str) -> RunConfig:
         mu=_get(cp, "grid", "reduced_mass", float, MU_K39RB87),
     )
 
-    model = _get(cp, "potential", "model", str, "morse").strip().lower()
     if cp.has_option("potential", "file"):
         potential = _load_curve("potential", _get(cp, "potential", "file", str), grid)
-    elif model == "morse":
+    else:
+        model = _get(cp, "potential", "model", str, "morse").strip().lower()
+        if model != "morse":
+            raise ConfigError(f"[potential] model: unknown model {model!r}")
         potential = _build(
             "potential", MorsePotential,
             de=_get(cp, "potential", "de", float),
             re=_get(cp, "potential", "re", float),
             a=_get(cp, "potential", "a", float),
         )
-    else:
-        raise ConfigError(f"[potential] model: unknown model {model!r}")
 
     if cp.has_option("dipole", "file"):
         dipole = _load_curve("dipole", _get(cp, "dipole", "file", str), grid)
@@ -432,6 +453,8 @@ def parse_config(text: str) -> RunConfig:
     if sample_stride < 1:
         raise ConfigError(f"[propagation] sample_stride: must be >= 1, got {sample_stride}")
 
+    pulse = _parse_pulse(cp)
+    _refuse_unread(cp)  # after every other check, whose message comes first
     return RunConfig(
         grid=grid,
         potential=potential,
@@ -440,7 +463,7 @@ def parse_config(text: str) -> RunConfig:
         initial_level=initial,
         target_level=target,
         ladder=ladder,
-        pulse=_parse_pulse(cp),
+        pulse=pulse,
         ga=ga,
         dt=dt,
         sample_stride=sample_stride,
@@ -474,14 +497,18 @@ def _write(out: Path, name: str, text: str) -> Path:
 
 
 def _write_csv(out: Path, name: str, header: list[str] | None, rows) -> None:
-    """Header line (if any), then one row per line.
+    """Header line (if any), then one line per row, written as it is formed.
 
-    Cells are Python ints and floats (``ndarray.tolist()``), written with
-    repr: a float reads as ``_fmt`` writes it and an int stays an int.
+    ``rows`` is a 2-D array or an iterable of sequences of Python ints and
+    floats. Each cell is written with repr, an array row's after
+    ``tolist()``: a float reads as ``_fmt`` writes it and an int stays an int.
     """
-    lines = [] if header is None else [",".join(header)]
-    lines += [",".join(map(repr, row)) for row in rows]
-    _write(out, name, "\n".join(lines) + "\n")
+    with open(out / name, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = row.tolist() if isinstance(row, np.ndarray) else row
+            fh.write(",".join(map(repr, cells)) + "\n")
 
 
 def _write_manifest(out: Path, command: str, config: RunConfig, seed, threads: int | None,
@@ -503,16 +530,14 @@ def _write_manifest(out: Path, command: str, config: RunConfig, seed, threads: i
     _write(out, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _resolve_pulse(
-    config: RunConfig | None, pulse_file: str | None, command: str
-) -> ChirpedPulseParams:
+def _resolve_pulse(config: RunConfig, pulse_file: str | None, command: str) -> ChirpedPulseParams:
     """The --pulse file's [pulse] if given, else the config's."""
     if pulse_file:
         pulse = _parse_pulse(_read_ini(_read_text(pulse_file, "--pulse")))
         if pulse is None:
             raise ConfigError(f"{pulse_file}: no [pulse] section")
         return pulse
-    if config is None or config.pulse is None:
+    if config.pulse is None:
         raise ConfigError(f"{command} needs a [pulse] section or --pulse file")
     return config.pulse
 
@@ -543,7 +568,7 @@ def _ga_ranges(config: RunConfig, spec: VibrationalSpectrum | None) -> ParamRang
     if config.ga.ranges is not None:
         return config.ga.ranges
     sd = sdme_map(spec, config.dipole)
-    life_s = lifetime(spec, sd, config.initial_level)
+    life_s = lifetime(spec, sd)[config.initial_level]
     try:
         return heuristic_ranges(
             spec, config.initial_level, config.ladder,
@@ -599,14 +624,14 @@ def cmd_eigensolve(config: RunConfig, out_dir: str, with_wavefunctions: bool = F
     sd = sdme_map(spec, config.dipole)
 
     _write_csv(out, "energies.csv", ["level", "energy_hartree"], enumerate(spec.energies.tolist()))
-    _write_csv(out, "sdme.csv", None, sd.values.tolist())
-    # a level with no decay channel is written as 'inf'
+    _write_csv(out, "sdme.csv", None, sd)
+    # levels 1 up; a level with no decay channel is written as 'inf'
     _write_csv(out, "lifetimes.csv", ["level", "lifetime_s"],
-               ((v, lifetime(spec, sd, v)) for v in range(1, spec.bound_count)))
+               enumerate(lifetime(spec, sd).tolist()[1:], start=1))
     if with_wavefunctions:
         _write_csv(out, "wavefunctions.csv",
                    ["r_bohr"] + [f"psi_{v}" for v in range(spec.bound_count)],
-                   np.column_stack([config.grid.points, spec.wavefunctions.T]).tolist())
+                   np.column_stack([config.grid.points, spec.wavefunctions.T]))
 
     summary = [
         f"bound_count = {spec.bound_count}",
@@ -652,7 +677,7 @@ def cmd_propagate(config: RunConfig, out_dir: str, pulse_file: str | None = None
         ["t_au", "t_ns", "field_au"] + [f"p_{v}" for v in range(spec.bound_count)]
         + ["total_bound", "norm", "dissociation"],
         np.column_stack([rec.times, rec.times * AU_TIME_S * 1e9, rec.field_values,
-                         rec.populations, rec.total_bound, rec.norm, rec.dissociation]).tolist(),
+                         rec.populations, rec.total_bound, rec.norm, rec.dissociation]),
     )
     fin = rec.populations[-1]
     summary = [
@@ -755,7 +780,7 @@ def cmd_optimize(
 
 
 def cmd_pulse_spectrum(
-    config: RunConfig | None, out_dir: str, pulse_file: str | None = None,
+    config: RunConfig, out_dir: str, pulse_file: str | None = None,
     omega_min: float | None = None, omega_max: float | None = None,
     n_points: int = 2000, with_fft: bool = False,
 ) -> dict:
@@ -778,9 +803,8 @@ def cmd_pulse_spectrum(
     for name, (w, intensity) in spectra.items():
         nu = w * AU_ANGFREQ_RAD_PER_S / (2 * math.pi)
         _write_csv(out, name, ["omega_au", "nu_hz", "intensity"],
-                   np.column_stack([w, nu, intensity]).tolist())
-    if config is not None:
-        _write_manifest(out, "pulse-spectrum", config, seed=None, threads=None)
+                   np.column_stack([w, nu, intensity]))
+    _write_manifest(out, "pulse-spectrum", config, seed=None, threads=None)
     print(f"pulse-spectrum: peak at omega0 = {pulse.omega0:g} a.u. -> {out}")
     return {"pulse": pulse, "out": out}
 

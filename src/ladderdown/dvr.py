@@ -55,7 +55,7 @@ momentum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
@@ -140,23 +140,6 @@ class VibrationalSpectrum:
     @property
     def bound_count(self) -> int:
         return len(self.energies)
-
-    def transition_energy(self, upper: int, lower: int) -> float:
-        """E_upper - E_lower in hartree."""
-        return float(self.energies[upper] - self.energies[lower])
-
-
-@dataclass(frozen=True)
-class SdmeMap:
-    """Squared dipole matrix elements |<v|D|v'>|^2, symmetric, (e*bohr)^2."""
-
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError("SDME map must be a square matrix")
-        object.__setattr__(self, "values", v)
 
 
 def _kinetic_column(grid: RadialGrid) -> np.ndarray:
@@ -324,42 +307,35 @@ def _solve_in_place(
     return VibrationalSpectrum(energies=energies, wavefunctions=psi, grid=grid)
 
 
-def solve_spectrum(grid: RadialGrid, potential, threshold: float = 0.0) -> VibrationalSpectrum:
-    """``solve_bound_states`` under its earlier name."""
-    return solve_bound_states(grid, potential, threshold)
+# the earlier name, which perfbench calls until it moves to solve_bound_states (ROADMAP item 1)
+solve_spectrum = solve_bound_states
 
 
-def sdme_map(spectrum: VibrationalSpectrum, dipole) -> SdmeMap:
-    """|<v|D|v'>|^2 for all bound pairs, by grid quadrature."""
+def sdme_map(spectrum: VibrationalSpectrum, dipole) -> np.ndarray:
+    """|<v|D|v'>|^2 for all bound pairs by grid quadrature: symmetric, in (e*bohr)^2."""
     grid = spectrum.grid
     d = dipole.value(grid.points)
     psi = spectrum.wavefunctions
     elements = grid.dr * (psi * d) @ psi.T
     elements = 0.5 * (elements + elements.T)  # enforce exact symmetry
-    return SdmeMap(values=elements**2)
+    return elements**2
 
 
-def einstein_rate(spectrum: VibrationalSpectrum, sdme: SdmeMap, i: int, v: int) -> float:
-    """Spontaneous-emission rate A_iv in s^-1 for the i -> v transition.
+def lifetime(spectrum: VibrationalSpectrum, sdme: np.ndarray) -> np.ndarray:
+    """Radiative lifetime of every level in seconds, tau_i = 1 / sum_{v<i} A_iv.
 
-    In atomic units A = (4/3) * w^3 * |<i|D|v>|^2 / c^3 with w = E_i - E_v;
-    the result is converted to SI inverse seconds.
+    A_iv = (4/3) w^3 |<i|D|v>|^2 / c^3 in atomic units, with w = E_i - E_v, is
+    the spontaneous-emission rate of the i -> v transition, converted to SI
+    inverse seconds; the channels to every lower level act in parallel.
+    Level 0, and any level with no open channel, gets inf.
     """
-    if not 0 <= v < i < spectrum.bound_count:
-        raise ValueError(f"need bound levels i > v, got i={i}, v={v}")
-    w = spectrum.transition_energy(i, v)
-    a_au = (4.0 / 3.0) * w**3 * sdme.values[i, v] / C_AU**3
-    return a_au / AU_TIME_S
-
-
-def lifetime(spectrum: VibrationalSpectrum, sdme: SdmeMap, i: int) -> float:
-    """Radiative lifetime of level i in seconds, tau = 1 / sum_v A_iv.
-
-    The decay channels to every lower level v act in parallel. A level with
-    no open decay channel gets the math.inf sentinel.
-    """
-    if not 1 <= i < spectrum.bound_count:
-        raise ValueError(f"need a bound level i >= 1, got i={i}")
-    rates = np.array([einstein_rate(spectrum, sdme, i, v) for v in range(i)])
-    total = float(np.sum(rates))
-    return float("inf") if total == 0 else 1.0 / total
+    e = spectrum.energies.tolist()
+    tau = np.full(len(e), math.inf)
+    for i in range(1, len(e)):
+        # Python floats: numpy's SIMD power can differ from libm's pow in the last bit
+        rates = [4.0 / 3.0 * (e[i] - ev) ** 3 * d2 / C_AU**3 / AU_TIME_S
+                 for ev, d2 in zip(e[:i], sdme[i, :i].tolist())]
+        total = float(np.sum(rates))
+        if total != 0.0:
+            tau[i] = 1.0 / total
+    return tau

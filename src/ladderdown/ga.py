@@ -44,7 +44,6 @@ class Individual:
 
     params: ChirpedPulseParams
     fitness: float | None = None
-    failed: bool = False
 
 
 @dataclass(frozen=True)
@@ -231,7 +230,6 @@ def _evaluate_population(population: list[Individual], score, history: GaHistory
     results = score([population[i].params.as_array() for i in todo])
     for i, (j, failed) in zip(todo, results):
         population[i].fitness = j
-        population[i].failed = failed
         history.failures += failed
     history.evaluations += len(todo)
 
@@ -310,7 +308,6 @@ def evolve_generation(population: list[Individual], cfg: GaConfig,
                 genes[g] += rng.normal(0.0, _MUTATION_SCALE * widths[g])
         ind.params = ChirpedPulseParams.from_array(np.clip(genes, los, his))
         ind.fitness = None
-        ind.failed = False
     return new_pop
 
 

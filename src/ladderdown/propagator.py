@@ -120,32 +120,11 @@ class WavefunctionState:
         return complex(self.grid.dr * np.vdot(other, self.psi))
 
 
-@dataclass(frozen=True)
-class PopulationSnapshot:
-    """Level populations plus the norm bookkeeping at one instant."""
-
-    populations: np.ndarray
-    total_bound: float
-    norm: float
-    dissociation: float
-
-
-def populations(state: WavefunctionState, spectrum: VibrationalSpectrum) -> PopulationSnapshot:
-    """p_v = |<v|Psi>|^2 for every bound level v of ``spectrum``.
-
-    total_bound sums them; dissociation is the flux the absorber has
-    removed, 1 - norm.
-    """
+def populations(state: WavefunctionState, spectrum: VibrationalSpectrum) -> np.ndarray:
+    """p_v = |<v|Psi>|^2 for every bound level v of ``spectrum``."""
     # real @ complex would copy the real levels to complex; split instead
     phi = spectrum.wavefunctions
-    pops = state.grid.dr**2 * ((phi @ state.psi.real) ** 2 + (phi @ state.psi.imag) ** 2)
-    norm = state.norm()
-    return PopulationSnapshot(
-        populations=pops,
-        total_bound=float(np.sum(pops)),
-        norm=norm,
-        dissociation=1.0 - norm,
-    )
+    return state.grid.dr**2 * ((phi @ state.psi.real) ** 2 + (phi @ state.psi.imag) ** 2)
 
 
 @dataclass
@@ -153,8 +132,10 @@ class PropagationRecord:
     """Sampled observables of one propagation run.
 
     ``populations[k, v]`` holds p_v at ``times[k]`` for every bound level v
-    of the spectrum (no columns when no spectrum was supplied). The final
-    state is kept for fitness evaluation and restarts.
+    of the spectrum (no columns when no spectrum was supplied), and
+    ``total_bound`` their sum (NaN then). ``dissociation`` is the flux the
+    absorber has removed, 1 - ``norm``. The final state is kept for fitness
+    evaluation and restarts.
     """
 
     times: np.ndarray
@@ -297,7 +278,7 @@ class EigenStepper:
     """Strang steps in the eigenbasis of H0 below a cutoff, absorber included.
 
     ``basis`` holds the K real eigenstates of H0 = T + V below the cutoff
-    ``ecut``, as ``dvr.solve_spectrum(grid, potential, threshold=ecut)``
+    ``ecut``, as ``dvr.solve_bound_states(grid, potential, threshold=ecut)``
     returns them. ``run`` projects the grid wavefunction on them,
     c = dr Phi psi, advances c by
 
@@ -398,19 +379,15 @@ def propagate(
     # relative slack: dt = span/n must give n steps, however large n
     n_steps = max(1, math.ceil((t_max - state.t) / dt * (1.0 - 1e-12)))
 
-    times, fields_out, pops, totals, norms = [], [], [], [], []
+    times, fields_out, pops, norms = [], [], [], []
 
     def record(psi: np.ndarray, t: float, step_index: int):
         st = WavefunctionState(psi=psi, t=t, grid=state.grid)
-        if spectrum is not None:
-            snap = populations(st, spectrum)
-            pops.append(snap.populations)
-            totals.append(snap.total_bound)
-            n = snap.norm
-        else:
-            n = st.norm()
+        n = st.norm()
         if not math.isfinite(n):
             raise PropagationBlowupError(step_index)
+        if spectrum is not None:
+            pops.append(populations(st, spectrum))
         times.append(t)
         fields_out.append(0.0 if field is None else float(field(t)))
         norms.append(n)
@@ -425,11 +402,12 @@ def propagate(
         record(psi, state.t + done * dt, done)
 
     norm_arr = np.array(norms)
+    pops_arr = np.array(pops) if pops else np.empty((len(times), 0))
     return PropagationRecord(
         times=np.array(times),
         field_values=np.array(fields_out),
-        populations=np.array(pops) if pops else np.empty((len(times), 0)),
-        total_bound=np.array(totals) if totals else np.full(len(times), np.nan),
+        populations=pops_arr,
+        total_bound=pops_arr.sum(axis=1) if pops else np.full(len(times), np.nan),
         norm=norm_arr,
         dissociation=1.0 - norm_arr,
         final_state=WavefunctionState(psi=psi, t=state.t + done * dt, grid=state.grid),
@@ -507,7 +485,7 @@ def tolerance_time_step(
     def final_populations(trial, n):
         return np.array([
             populations(WavefunctionState(psi=trial.run(psi0, 0.0, n, f), t=t_end, grid=grid),
-                        spectrum).populations
+                        spectrum)
             for f in fields
         ])
 

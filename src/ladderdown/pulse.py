@@ -156,8 +156,8 @@ def heuristic_ranges(
     spectrum,
     i: int,
     ladder,
-    lifetime_au: float = math.inf,
-    sdme=None,
+    lifetime_au: float,
+    sdme: np.ndarray,
     tau_span: float = 10.0,
 ) -> ParamRanges:
     """Physically motivated search bounds for the five pulse genes.
@@ -179,10 +179,10 @@ def heuristic_ranges(
     * omega0: first transition frequency, offset upward by tau0*chirp.
     * eps0: Rabi period ~ 2/(eps0 * |<v|D|v'>|) of the weakest ladder rung
       matched to the tau range, capped at 1e-2 a.u. (ionization ceiling).
-      Needs ``sdme``; without it the cap and a 1e-3 floor are used.
+      ``sdme`` is the matrix of |<v|D|v'>|^2 that ``dvr.sdme_map`` returns.
 
-    tau and tau0 must stay far below the radiative lifetime of the initial
-    level (given in a.u.); HeuristicRangeError otherwise.
+    tau and tau0 must stay far below ``lifetime_au``, the radiative lifetime
+    of the initial level in a.u.; HeuristicRangeError otherwise.
     """
     if ladder[0] != i:
         raise ValueError(f"ladder must start at the initial level {i}, got {ladder[0]}")
@@ -213,17 +213,12 @@ def heuristic_ranges(
     omega0_lo, omega0_hi = w_first, w_first + 3.5 * dw / 6.0
 
     eps_cap = 1.0e-2
-    if sdme is not None:
-        d_min = float(
-            min(math.sqrt(sdme.values[a, b]) for a, b in zip(ladder, ladder[1:]))
-        )
-        if d_min == 0.0:
-            raise HeuristicRangeError("ladder has a zero dipole coupling")
-        # Rabi period 2/(eps0 d) of the weakest rung matched to the envelope
-        eps_lo = min(2.0 / (tau_hi * d_min), eps_cap / 2.0)
-        eps_hi = min(2.0 / (tau_lo * d_min), eps_cap)
-    else:
-        eps_lo, eps_hi = 1.0e-3, eps_cap
+    d_min = float(min(math.sqrt(sdme[a, b]) for a, b in zip(ladder, ladder[1:])))
+    if d_min == 0.0:
+        raise HeuristicRangeError("ladder has a zero dipole coupling")
+    # Rabi period 2/(eps0 d) of the weakest rung matched to the envelope
+    eps_lo = min(2.0 / (tau_hi * d_min), eps_cap / 2.0)
+    eps_hi = min(2.0 / (tau_lo * d_min), eps_cap)
     if not eps_lo < eps_hi:
         raise HeuristicRangeError(
             f"amplitude range collapsed: [{eps_lo:g}, {eps_hi:g}]"

@@ -2,7 +2,7 @@ import pytest
 
 from ladderdown.constants import MU_K39RB87
 from ladderdown.curves import krb_standin_dipole, krb_standin_potential
-from ladderdown.dvr import RadialGrid, sdme_map, solve_spectrum
+from ladderdown.dvr import RadialGrid, sdme_map, solve_bound_states
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +22,7 @@ def desk_grid():
 
 @pytest.fixture(scope="session")
 def desk_spectrum(desk_grid, standin_potential):
-    return solve_spectrum(desk_grid, standin_potential)
+    return solve_bound_states(desk_grid, standin_potential)
 
 
 @pytest.fixture(scope="session")
@@ -37,4 +37,4 @@ def production_grid():
 
 @pytest.fixture(scope="session")
 def production_spectrum(production_grid, standin_potential):
-    return solve_spectrum(production_grid, standin_potential)
+    return solve_bound_states(production_grid, standin_potential)

@@ -15,7 +15,6 @@ from ladderdown.dvr import (
     RadialGrid,
     sdme_map,
     solve_bound_states,
-    solve_spectrum,
 )
 from ladderdown.ga import (
     GaConfig,
@@ -75,7 +74,7 @@ def test_criterion_1_dvr_correctness():
         (0.25, 10.0, 1.0, 50.0, RadialGrid(r_min=3.0, r_max=30.0, n_points=512, mu=50.0)),
     ]
     for de, re_, a, mu, g in morse_sets:
-        spec = solve_spectrum(g, MorsePotential(de=de, re=re_, a=a))
+        spec = solve_bound_states(g, MorsePotential(de=de, re=re_, a=a))
         count_ok = spec.bound_count == morse_bound_count(de, a, mu)
         rel = np.max(
             np.abs(spec.energies - morse_energies(de, a, mu))
@@ -93,11 +92,11 @@ def test_criterion_2_sdme_oracle():
     grid = RadialGrid(r_min=2.0, r_max=18.0, n_points=256, mu=1.0)
     spec = solve_bound_states(grid, HarmonicPotential(1.0, 1.0, 10.0), threshold=12.0)
     sd = sdme_map(spec, LinearDipole(10.0))
-    checks = [("map symmetry exact", np.array_equal(sd.values, sd.values.T))]
+    checks = [("map symmetry exact", np.array_equal(sd, sd.T))]
     worst = 0.0
     for n in range(8):
         analytic = (n + 1) / 2.0  # <n|x|n+1>^2 = (n+1)/(2 mu w)
-        worst = max(worst, abs(sd.values[n, n + 1] - analytic) / analytic)
+        worst = max(worst, abs(sd[n, n + 1] - analytic) / analytic)
     checks.append((f"ladder elements within 1e-8 (got {worst:.2e})", worst < 1e-8))
     report(2, "SDME oracle", checks)
 
@@ -167,9 +166,9 @@ def test_criterion_4_rabi_oracle():
     grid = RadialGrid(r_min=4.0, r_max=24.0, n_points=256, mu=50.0)
     pot = MorsePotential(de=0.25, re=10.0, a=1.0)
     dip = LinearDipole(10.0)
-    spec = solve_spectrum(grid, pot)
-    w01 = spec.transition_energy(1, 0)
-    d01 = math.sqrt(sdme_map(spec, dip).values[0, 1])
+    spec = solve_bound_states(grid, pot)
+    w01 = spec.energies[1] - spec.energies[0]
+    d01 = math.sqrt(sdme_map(spec, dip)[0, 1])
     eps = 0.004
     period = 2.0 * math.pi / (eps * d01)
     state = WavefunctionState(psi=spec.wavefunctions[0].astype(complex), t=0.0, grid=grid)
@@ -188,7 +187,7 @@ def test_criterion_5_cap_accounting():
     pot = MorsePotential(de=5.0, re=3.0, a=1.0)
 
     def make_state(grid):
-        spec = solve_spectrum(grid, pot)
+        spec = solve_bound_states(grid, pot)
         x = grid.points
         g = gaussian_packet(x, 30.0, 2.0, 6.0)
         g /= math.sqrt(grid.dr * np.sum(np.abs(g) ** 2))
@@ -360,19 +359,21 @@ def test_criterion_9_heuristic_ranges(desk_spectrum, desk_sdme):
     )
 
     grid = RadialGrid(r_min=2.0, r_max=18.0, n_points=384, mu=1.0)
-    harm = solve_spectrum(grid, HarmonicPotential(1.0, 1.0, 10.0), threshold=8.0)
+    harm = solve_bound_states(grid, HarmonicPotential(1.0, 1.0, 10.0), threshold=8.0)
     try:
-        heuristic_ranges(harm, 4, (4, 3, 2, 1), lifetime_au=1e30)
+        heuristic_ranges(harm, 4, (4, 3, 2, 1), lifetime_au=1e30,
+                         sdme=np.ones((harm.bound_count,) * 2))
         equal_raises = False
     except ChirpSignError:
         equal_raises = True
     checks.append(("equal transition energies raise the chirp-sign error", equal_raises))
 
-    hard = solve_spectrum(
+    hard = solve_bound_states(
         grid, AnharmonicPotential(mu=1.0, w=1.0, r0=10.0, quartic=0.01), threshold=12.0
     )
     try:
-        heuristic_ranges(hard, 5, (5, 4, 3, 2), lifetime_au=1e30)
+        heuristic_ranges(hard, 5, (5, 4, 3, 2), lifetime_au=1e30,
+                         sdme=np.ones((hard.bound_count,) * 2))
         decreasing_raises = False
     except ChirpSignError:
         decreasing_raises = True

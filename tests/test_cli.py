@@ -21,7 +21,7 @@ from ladderdown.cli import (
     parse_config,
 )
 from ladderdown.constants import AU_ANGFREQ_RAD_PER_S
-from ladderdown.dvr import solve_spectrum
+from ladderdown.dvr import lifetime, sdme_map, solve_bound_states
 from ladderdown.ga import LadderProblem, init_population
 from ladderdown.propagator import SplitStepper, WavefunctionState, propagate
 from ladderdown.pulse import duration
@@ -183,6 +183,29 @@ class TestEigensolve:
         header, data = read_csv(out / "wavefunctions.csv")
         assert header[0] == "r_bohr" and header[1] == "psi_0"
         assert data.shape == (1024, 31)
+
+    def test_desk_files_read_back_to_the_solved_arrays_bit_for_bit(self, tmp_path):
+        config = load_config(None, "desk")
+        out = tmp_path / "o"
+        cmd_eigensolve(config, str(out), with_wavefunctions=True)
+        spec = solve_bound_states(config.grid, config.potential)
+        sd = sdme_map(spec, config.dipole)
+        levels = np.arange(spec.bound_count)
+        _, energies = read_csv(out / "energies.csv")
+        assert np.array_equal(energies[:, 0], levels)
+        assert np.array_equal(energies[:, 1], spec.energies)
+        sdme_rows = (out / "sdme.csv").read_text().splitlines()
+        assert np.array_equal([[float(x) for x in row.split(",")] for row in sdme_rows], sd)
+        _, lifetimes = read_csv(out / "lifetimes.csv")
+        assert np.array_equal(lifetimes[:, 0], levels[1:])
+        assert np.array_equal(lifetimes[:, 1], lifetime(spec, sd)[1:])
+        _, wavefunctions = read_csv(out / "wavefunctions.csv")
+        assert np.array_equal(wavefunctions[:, 0], config.grid.points)
+        assert np.array_equal(wavefunctions[:, 1:], spec.wavefunctions.T)
+        # levels are written as integers
+        for name in ("energies.csv", "lifetimes.csv"):
+            rows = (out / name).read_text().splitlines()[1:]
+            assert all(row.split(",")[0].isdigit() for row in rows)
 
     def test_tabulated_curve_route(self, tmp_path):
         # sampling the analytic well at the grid nodes makes the tabulated
@@ -527,6 +550,9 @@ def _desk_table(tmp_path, model_line, rows):
     return _desk_config(tmp_path, model_line, f"file = {table}")
 
 
+# a dipole table that covers the desk grid
+FLAT_DIPOLE = "8.0 0.1\n30.0 0.1\n50.0 0.1\n68.0 0.1\n"
+
 # (command, argv builder taking tmp_path, text the one error line must contain)
 _REJECTED_INPUTS = {
     "empty-ladder": ("eigensolve", lambda tp: _desk_config(
@@ -570,6 +596,13 @@ _REJECTED_INPUTS = {
         "[propagation] dt: 50000 exceeds the pulse horizon"),
     "dt-above-the-shortest-horizon": ("optimize", lambda tp: _desk_config(
         tp, "dt = 40.0", "dt = 1e6"), "exceeds the shortest horizon of the gene box"),
+    "misspelled-ga-key": ("eigensolve", lambda tp: _desk_config(
+        tp, "population = 12", "popualtion = 12"), "[ga] popualtion: unknown key"),
+    "misspelled-section": ("eigensolve", lambda tp: _desk_config(
+        tp, "[cap]", "[capp]"), "[capp]: unknown section"),
+    "model-beside-file": ("eigensolve", lambda tp: _desk_config(
+        tp, "d0 = 0.5\nrd = 28.0\np = 2.0", f"file = {_write(tp / 'd.dat', FLAT_DIPOLE)}"),
+        "[dipole] model: unknown key"),
     # a field of 1e-30 leaves the eigenstate alone: the population error of
     # the split falls as dt^4, and then to rounding, never by 4 per halving
     "dt-without-a-dt2-regime": ("propagate", lambda tp: _desk_config(
@@ -663,7 +696,7 @@ class TestTimeStep:
         assert summary["eigensolve"] == "dense"
 
         dt = float(summary["dt_au"])
-        spec = solve_spectrum(config.grid, config.potential)
+        spec = solve_bound_states(config.grid, config.potential)
         problem = LadderProblem(potential=config.potential, dipole=config.dipole,
                                 cap=config.cap, spectrum=spec, initial_level=8,
                                 target_level=2, dt=dt)

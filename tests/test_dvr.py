@@ -12,16 +12,13 @@ from ladderdown.dvr import (
     LIFT_RESIDUAL,
     EmptySpectrumError,
     RadialGrid,
-    SdmeMap,
     VibrationalSpectrum,
     _fix_sign,
     _solve_in_place,
     build_hamiltonian,
-    einstein_rate,
     lifetime,
     sdme_map,
     solve_bound_states,
-    solve_spectrum,
 )
 from oracles import (
     ConstantDipole,
@@ -84,12 +81,12 @@ class TestHamiltonian:
 class TestBoundStates:
     @pytest.mark.parametrize("de,re,a,mu,grid", MORSE_SETS)
     def test_morse_bound_count(self, de, re, a, mu, grid):
-        spectrum = solve_spectrum(grid, MorsePotential(de=de, re=re, a=a))
+        spectrum = solve_bound_states(grid, MorsePotential(de=de, re=re, a=a))
         assert spectrum.bound_count == morse_bound_count(de, a, mu)
 
     @pytest.mark.parametrize("de,re,a,mu,grid", MORSE_SETS)
     def test_morse_eigenvalues(self, de, re, a, mu, grid):
-        spectrum = solve_spectrum(grid, MorsePotential(de=de, re=re, a=a))
+        spectrum = solve_bound_states(grid, MorsePotential(de=de, re=re, a=a))
         expected = morse_energies(de, a, mu)
         rel = np.abs(spectrum.energies - expected) / np.abs(expected)
         assert np.max(rel) < 1e-6
@@ -131,7 +128,7 @@ class TestBoundStates:
             n_points=production_grid.n_points // 2,
             mu=production_grid.mu,
         )
-        spec_half = solve_spectrum(half, standin_potential)
+        spec_half = solve_bound_states(half, standin_potential)
         assert spec_half.bound_count == production_spectrum.bound_count
         assert np.max(np.abs(spec_half.energies - production_spectrum.energies)) < 1e-9
 
@@ -308,15 +305,15 @@ class TestLift:
 class TestSdme:
     def test_symmetry_exact(self, desk_spectrum, standin_dipole):
         sd = sdme_map(desk_spectrum, standin_dipole)
-        assert np.array_equal(sd.values, sd.values.T)
-        assert np.all(sd.values >= 0.0)
+        assert np.array_equal(sd, sd.T)
+        assert np.all(sd >= 0.0)
 
     def test_constant_dipole_is_diagonal(self, harmonic_setup):
         _, _, spectrum = harmonic_setup
         sd = sdme_map(spectrum, ConstantDipole(0.7))
-        off = sd.values - np.diag(np.diag(sd.values))
+        off = sd - np.diag(np.diag(sd))
         assert np.max(np.abs(off)) < 1e-20
-        assert np.diag(sd.values) == pytest.approx(0.7**2, rel=1e-12)
+        assert np.diag(sd) == pytest.approx(0.7**2, rel=1e-12)
 
     def test_harmonic_linear_dipole_ladder(self, harmonic_setup):
         # <n|x|n+1>^2 = (n+1)/(2 mu w) and nothing else couples
@@ -325,15 +322,15 @@ class TestSdme:
         n_check = 8
         for n in range(n_check):
             expected = (n + 1) / 2.0
-            assert sd.values[n, n + 1] == pytest.approx(expected, rel=1e-8)
-        mask = np.zeros_like(sd.values, dtype=bool)
+            assert sd[n, n + 1] == pytest.approx(expected, rel=1e-8)
+        mask = np.zeros_like(sd, dtype=bool)
         idx = np.arange(n_check)
         mask[idx, idx + 1] = mask[idx + 1, idx] = True
-        others = sd.values[:n_check, :n_check][~mask[:n_check, :n_check]]
+        others = sd[:n_check, :n_check][~mask[:n_check, :n_check]]
         assert np.max(np.abs(others)) < 1e-10
 
     def test_near_diagonal_dominance_of_standin(self, desk_spectrum, desk_sdme):
-        vals = desk_sdme.values.copy()
+        vals = desk_sdme.copy()
         np.fill_diagonal(vals, 0.0)
         hits = sum(
             abs(int(np.argmax(vals[v])) - v) == 1 for v in range(desk_spectrum.bound_count)
@@ -348,26 +345,29 @@ def _fake_two_level(gap, sdme_value):
         wavefunctions=np.zeros((2, 16)),
         grid=grid,
     )
-    sd = SdmeMap(values=np.array([[0.0, sdme_value], [sdme_value, 0.0]]))
+    sd = np.array([[0.0, sdme_value], [sdme_value, 0.0]])
     return spectrum, sd
+
+
+def _rate(spectrum, sd):
+    """The 1 -> 0 emission rate in s^-1 of a two-level spectrum: level 1's only channel."""
+    return 1.0 / lifetime(spectrum, sd)[1]
 
 
 class TestEinstein:
     def test_zero_coupling_gives_zero_rate(self):
         spectrum, sd = _fake_two_level(0.01, 0.0)
-        assert einstein_rate(spectrum, sd, 1, 0) == 0.0
+        assert _rate(spectrum, sd) == 0.0
 
     def test_cubic_frequency_scaling(self):
         s1, d1 = _fake_two_level(0.01, 1.0)
         s2, d2 = _fake_two_level(0.02, 1.0)
-        assert einstein_rate(s2, d2, 1, 0) == pytest.approx(
-            8.0 * einstein_rate(s1, d1, 1, 0), rel=1e-12
-        )
+        assert _rate(s2, d2) == pytest.approx(8.0 * _rate(s1, d1), rel=1e-12)
 
     def test_hand_computed_rate_and_si_oracle(self):
         # two-level toy: gap 0.01 a.u., squared matrix element 1 a.u.
         spectrum, sd = _fake_two_level(0.01, 1.0)
-        got = einstein_rate(spectrum, sd, 1, 0)
+        got = _rate(spectrum, sd)
         by_hand = (4.0 / 3.0) * 0.01**3 / C_AU**3 / AU_TIME_S
         assert got == pytest.approx(by_hand, rel=1e-12)
         # independent SI route: A = w^3 d^2 / (3 pi eps0 hbar c^3)
@@ -388,36 +388,38 @@ class TestEinstein:
             wavefunctions=np.zeros((2, 16)),
             grid=grid,
         )
-        sd = SdmeMap(values=np.array([[0.0, 2**15 / 3**10], [2**15 / 3**10, 0.0]]))
-        assert einstein_rate(spectrum, sd, 1, 0) == pytest.approx(6.2648e8, rel=1e-3)
-
-    def test_argument_validation(self):
-        spectrum, sd = _fake_two_level(0.01, 1.0)
-        with pytest.raises(ValueError):
-            einstein_rate(spectrum, sd, 0, 1)
-        with pytest.raises(ValueError):
-            einstein_rate(spectrum, sd, 1, 1)
+        sd = np.array([[0.0, 2**15 / 3**10], [2**15 / 3**10, 0.0]])
+        assert _rate(spectrum, sd) == pytest.approx(6.2648e8, rel=1e-3)
 
 
 class TestLifetime:
     def test_two_level_inverse_rate(self):
         spectrum, sd = _fake_two_level(0.01, 1.0)
-        assert lifetime(spectrum, sd, 1) == pytest.approx(
-            1.0 / einstein_rate(spectrum, sd, 1, 0), rel=1e-12
-        )
+        rate = (4.0 / 3.0) * 0.01**3 * 1.0 / C_AU**3 / AU_TIME_S
+        assert lifetime(spectrum, sd)[1] == pytest.approx(1.0 / rate, rel=1e-12)
+
+    def test_each_level_inverts_the_sum_of_its_written_out_rates(self, desk_spectrum,
+                                                                  desk_sdme):
+        # A_iv = (4/3) w^3 |<i|D|v>|^2 / c^3 a.u. over every lower level v, in s^-1
+        e = desk_spectrum.energies
+        tau = lifetime(desk_spectrum, desk_sdme)
+        assert tau.shape == (desk_spectrum.bound_count,)
+        for i in range(1, desk_spectrum.bound_count):
+            rates = [(4.0 / 3.0) * (e[i] - e[v]) ** 3 * desk_sdme[i, v] / C_AU**3 / AU_TIME_S
+                     for v in range(i)]
+            assert tau[i] == pytest.approx(1.0 / sum(rates), rel=1e-12)
 
     def test_extra_channel_shortens_lifetime(self, desk_spectrum, desk_sdme):
         # same total rate minus one channel must give a longer lifetime
-        full = lifetime(desk_spectrum, desk_sdme, 5)
-        trimmed = desk_sdme.values.copy()
+        full = lifetime(desk_spectrum, desk_sdme)[5]
+        trimmed = desk_sdme.copy()
         trimmed[5, 0] = trimmed[0, 5] = 0.0
-        longer = lifetime(desk_spectrum, SdmeMap(values=trimmed), 5)
+        longer = lifetime(desk_spectrum, trimmed)[5]
         assert full < longer
 
     def test_no_channel_gives_infinity(self):
         spectrum, sd = _fake_two_level(0.01, 0.0)
-        assert lifetime(spectrum, sd, 1) == math.inf
+        assert lifetime(spectrum, sd)[1] == math.inf
 
-    def test_ground_level_rejected(self, desk_spectrum, desk_sdme):
-        with pytest.raises(ValueError):
-            lifetime(desk_spectrum, desk_sdme, 0)
+    def test_ground_level_is_infinite(self, desk_spectrum, desk_sdme):
+        assert lifetime(desk_spectrum, desk_sdme)[0] == math.inf

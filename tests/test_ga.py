@@ -6,7 +6,7 @@ import pytest
 
 from ladderdown.constants import MU_K39RB87
 from ladderdown.curves import MorsePotential
-from ladderdown.dvr import RadialGrid, solve_spectrum
+from ladderdown.dvr import RadialGrid, solve_bound_states
 from ladderdown.ga import (
     GaConfig,
     Individual,
@@ -54,7 +54,7 @@ def toy_ladder_problem():
     # small anharmonic well: cheap real propagations for fitness tests
     grid = RadialGrid(r_min=4.0, r_max=24.0, n_points=256, mu=50.0)
     pot = MorsePotential(de=0.25, re=10.0, a=1.0)
-    spectrum = solve_spectrum(grid, pot)
+    spectrum = solve_bound_states(grid, pot)
     return LadderProblem(
         potential=pot, dipole=LinearDipole(10.0), cap=None,
         spectrum=spectrum, initial_level=1, target_level=0, dt=0.25,
@@ -239,7 +239,7 @@ class TestOptimize:
     def test_parallel_ladder_run_matches_serial(self, standin_potential, standin_dipole):
         # a real propagation problem; workers get the stepper built here
         grid = RadialGrid(r_min=8.0, r_max=68.0, n_points=256, mu=MU_K39RB87)
-        spectrum = solve_spectrum(grid, standin_potential)
+        spectrum = solve_bound_states(grid, standin_potential)
         problem = LadderProblem(
             potential=standin_potential, dipole=standin_dipole,
             cap=CapSpec(r0=48.0, eta=5e-6), spectrum=spectrum, initial_level=8,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderdown.dvr import RadialGrid, solve_spectrum
+from ladderdown.dvr import RadialGrid, solve_bound_states
 from ladderdown.pulse import (
     ChirpSignError,
     ChirpedPulseParams,
@@ -194,20 +194,25 @@ class TestParamRanges:
             )
 
 
+def unit_sdme(spec):
+    """Unit |<v|D|v'>|^2 for every pair, where the amplitude bounds play no part."""
+    return np.ones((spec.bound_count, spec.bound_count))
+
+
 @pytest.fixture(scope="module")
 def soft_anharmonic_spectrum():
     # softening quartic: level gaps shrink upward, so descending ladders
     # see increasing transition energies (the positive-chirp premise)
     grid = RadialGrid(r_min=2.0, r_max=18.0, n_points=384, mu=1.0)
     pot = AnharmonicPotential(mu=1.0, w=1.0, r0=10.0, quartic=-0.004)
-    return grid, pot, solve_spectrum(grid, pot, threshold=8.0)
+    return grid, pot, solve_bound_states(grid, pot, threshold=8.0)
 
 
 class TestHeuristicRanges:
     def test_bounds_match_bandwidth_brute_force(self, soft_anharmonic_spectrum):
         grid, pot, spec = soft_anharmonic_spectrum
         ladder = (5, 4, 3, 2, 1)
-        ranges = heuristic_ranges(spec, 5, ladder, lifetime_au=1e30)
+        ranges = heuristic_ranges(spec, 5, ladder, lifetime_au=1e30, sdme=unit_sdme(spec))
         # independent recomputation from raw eigenvalues
         e = spec.energies
         gaps = [e[a] - e[b] for a, b in zip(ladder, ladder[1:])]
@@ -230,27 +235,27 @@ class TestHeuristicRanges:
         grid, *_ = soft_anharmonic_spectrum
         import oracles
 
-        harm = solve_spectrum(grid, oracles.HarmonicPotential(1.0, 1.0, 10.0), threshold=8.0)
+        harm = solve_bound_states(grid, oracles.HarmonicPotential(1.0, 1.0, 10.0), threshold=8.0)
         with pytest.raises(ChirpSignError):
-            heuristic_ranges(harm, 4, (4, 3, 2, 1), lifetime_au=1e30)
+            heuristic_ranges(harm, 4, (4, 3, 2, 1), lifetime_au=1e30, sdme=unit_sdme(harm))
 
     def test_decreasing_gaps_raise_chirp_sign_error(self):
         # hardening quartic: gaps grow upward, wrong direction for descent
         grid = RadialGrid(r_min=2.0, r_max=18.0, n_points=384, mu=1.0)
         pot = AnharmonicPotential(mu=1.0, w=1.0, r0=10.0, quartic=+0.01)
-        spec = solve_spectrum(grid, pot, threshold=12.0)
+        spec = solve_bound_states(grid, pot, threshold=12.0)
         with pytest.raises(ChirpSignError):
-            heuristic_ranges(spec, 5, (5, 4, 3, 2), lifetime_au=1e30)
+            heuristic_ranges(spec, 5, (5, 4, 3, 2), lifetime_au=1e30, sdme=unit_sdme(spec))
 
     def test_lifetime_guard(self, soft_anharmonic_spectrum):
         _, _, spec = soft_anharmonic_spectrum
         with pytest.raises(HeuristicRangeError):
-            heuristic_ranges(spec, 5, (5, 4, 3, 2, 1), lifetime_au=1e3)
+            heuristic_ranges(spec, 5, (5, 4, 3, 2, 1), lifetime_au=1e3, sdme=unit_sdme(spec))
 
     def test_ladder_must_start_at_initial_level(self, soft_anharmonic_spectrum):
         _, _, spec = soft_anharmonic_spectrum
         with pytest.raises(ValueError):
-            heuristic_ranges(spec, 6, (5, 4, 3), lifetime_au=1e30)
+            heuristic_ranges(spec, 6, (5, 4, 3), lifetime_au=1e30, sdme=unit_sdme(spec))
 
     def test_ranges_are_valid_and_amplitude_capped(self, desk_spectrum, desk_sdme):
         ranges = heuristic_ranges(
