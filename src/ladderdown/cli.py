@@ -7,9 +7,11 @@ propagate       wavepacket run under a fixed pulse, time-series output
 optimize        genetic-algorithm pulse search, history + best chromosome
 pulse-spectrum  analytic (and optionally FFT) optical spectrum of a pulse
 
-Every run writes a resolved config, a manifest with the config hash and
-library versions, and locale-independent full-precision CSV files, so any
-result can be reproduced exactly from its output directory.
+Every run writes one record of named sections twice: as summary.txt lines
+and as manifest.json, next to the config hash and library versions. Its
+``timing`` section is the only part that differs between runs of one seed.
+With the resolved config and locale-independent full-precision CSV files,
+any result can be reproduced exactly from its output directory.
 """
 
 from __future__ import annotations
@@ -484,16 +486,17 @@ def load_config(path: str | None, preset: str | None) -> RunConfig:
 # --- output helpers ---------------------------------------------------------
 
 
-def _prepare_out(out_dir: str) -> Path:
+def _out_path(out_dir: str) -> Path:
+    """--out as a Path; one that is, or lies below, an existing non-directory is a ConfigError."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    for path in (out, *out.parents):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"--out {out_dir}: {path} is not a directory")
     return out
 
 
-def _write(out: Path, name: str, text: str) -> Path:
-    path = out / name
-    path.write_text(text, encoding="utf-8")
-    return path
+def _write(out: Path, name: str, text: str) -> None:
+    (out / name).write_text(text, encoding="utf-8")
 
 
 def _write_csv(out: Path, name: str, header: list[str] | None, rows) -> None:
@@ -511,9 +514,15 @@ def _write_csv(out: Path, name: str, header: list[str] | None, rows) -> None:
             fh.write(",".join(map(repr, cells)) + "\n")
 
 
-def _write_manifest(out: Path, command: str, config: RunConfig, seed, threads: int | None,
-                    **records: dict | None):
-    """manifest.json and resolved_config.ini; each record given and not None is a key."""
+def _write_record(out: Path, command: str, config: RunConfig, started: float,
+                  seed: int | None = None, threads: int | None = None,
+                  **sections: dict | None) -> None:
+    """summary.txt, manifest.json and resolved_config.ini of one run record: each
+    section given and not None, then ``timing``, the wall time since ``started``."""
+    record = {name: s for name, s in sections.items() if s is not None}
+    record["timing"] = {"wall_time_s": round(time.perf_counter() - started, 3)}
+    lines = [f"{k} = {_fmt(v) if isinstance(v, float) else v}"
+             for section in record.values() for k, v in section.items()]
     manifest = {
         "command": command,
         "config_sha256": hashlib.sha256(config.text.encode()).hexdigest(),
@@ -524,8 +533,9 @@ def _write_manifest(out: Path, command: str, config: RunConfig, seed, threads: i
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
+        **record,
     }
-    manifest.update((k, v) for k, v in records.items() if v is not None)
+    _write(out, "summary.txt", "\n".join(lines) + "\n")
     _write(out, "resolved_config.ini", config.text)
     _write(out, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -611,16 +621,13 @@ def _eigensolve_record(spec: VibrationalSpectrum) -> dict:
             "eigensolve_residual": spec.lift_residual}
 
 
-def _summary_lines(record: dict) -> list[str]:
-    return [f"{k} = {_fmt(v) if isinstance(v, float) else v}" for k, v in record.items()]
-
-
 # --- commands ---------------------------------------------------------------
 
 
 def cmd_eigensolve(config: RunConfig, out_dir: str, with_wavefunctions: bool = False) -> dict:
+    started, out = time.perf_counter(), _out_path(out_dir)
     spec = _bound_spectrum(config, check_levels=False)
-    out = _prepare_out(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     sd = sdme_map(spec, config.dipole)
 
     _write_csv(out, "energies.csv", ["level", "energy_hartree"], enumerate(spec.energies.tolist()))
@@ -633,33 +640,30 @@ def cmd_eigensolve(config: RunConfig, out_dir: str, with_wavefunctions: bool = F
                    ["r_bohr"] + [f"psi_{v}" for v in range(spec.bound_count)],
                    np.column_stack([config.grid.points, spec.wavefunctions.T]))
 
-    summary = [
-        f"bound_count = {spec.bound_count}",
-        f"grid = [{_fmt(config.grid.r_min)}, {_fmt(config.grid.r_max)}] x {config.grid.n_points}",
-        f"reduced_mass = {_fmt(config.grid.mu)}",
-        f"threshold = 0.0",
-    ]
+    grid = config.grid
+    bound_states = {"bound_count": spec.bound_count,
+                    "grid": f"[{_fmt(grid.r_min)}, {_fmt(grid.r_max)}] x {grid.n_points}",
+                    "reduced_mass": grid.mu, "threshold": 0.0}
     if config.cap is not None:
-        summary += [f"cap_r0 = {_fmt(config.cap.r0)}", f"cap_eta = {_fmt(config.cap.eta)}"]
-    eigensolve = _eigensolve_record(spec)
-    summary += _summary_lines(eigensolve)
-    _write(out, "summary.txt", "\n".join(summary) + "\n")
-    _write_manifest(out, "eigensolve", config, seed=None, threads=None, eigensolve=eigensolve)
+        bound_states.update(cap_r0=config.cap.r0, cap_eta=config.cap.eta)
+    _write_record(out, "eigensolve", config, started, bound_states=bound_states,
+                  eigensolve=_eigensolve_record(spec))
     print(f"eigensolve: {spec.bound_count} bound levels -> {out}")
     return {"bound_count": spec.bound_count, "out": out}
 
 
 def cmd_propagate(config: RunConfig, out_dir: str, pulse_file: str | None = None) -> dict:
+    started, out = time.perf_counter(), _out_path(out_dir)
     pulse = _resolve_pulse(config, pulse_file, "propagate")
     horizon = duration(pulse)
     if config.dt is not None:
         time_step = _pinned_dt(config, horizon, "the pulse horizon")
     spec = _bound_spectrum(config)
-    outside = None if config.ga is None else _outside_ranges(pulse, _ga_ranges(config, spec))
+    ga_ranges = None if config.ga is None else {"pulse_outside_ga_ranges": ",".join(
+        _outside_ranges(pulse, _ga_ranges(config, spec))) or "none"}
     psi0 = spec.wavefunctions[config.initial_level].astype(complex)
     state = WavefunctionState(psi=psi0, t=0.0, grid=config.grid)
 
-    t0 = time.perf_counter()
     stepper = SplitStepper(config.grid, config.potential, config.dipole, config.cap,
                            config.dt or horizon)
     if config.dt is None:
@@ -667,10 +671,9 @@ def cmd_propagate(config: RunConfig, out_dir: str, pulse_file: str | None = None
         choice = tolerance_time_step(stepper, psi0, spec, [pulse], horizon)
         time_step = _tolerance_record(choice)
         stepper = stepper.with_dt(choice.dt)
-    out = _prepare_out(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     rec = propagate(state, pulse, stepper, horizon,
                     sample_stride=config.sample_stride, spectrum=spec)
-    wall = time.perf_counter() - t0
 
     _write_csv(
         out, "timeseries.csv",
@@ -680,24 +683,14 @@ def cmd_propagate(config: RunConfig, out_dir: str, pulse_file: str | None = None
                          rec.populations, rec.total_bound, rec.norm, rec.dissociation]),
     )
     fin = rec.populations[-1]
-    summary = [
-        f"initial_level = {config.initial_level}",
-        f"target_level = {config.target_level}",
-        f"final_p_target = {_fmt(fin[config.target_level])}",
-        f"final_p_initial = {_fmt(fin[config.initial_level])}",
-        f"final_total_bound = {_fmt(rec.total_bound[-1])}",
-        # 1 - norm dips below 0 when rounding lifts the norm above 1
-        f"final_dissociation = {_fmt(max(rec.dissociation[-1], 0.0))}",
-        f"steps = {rec.steps}",
-    ]
-    eigensolve = _eigensolve_record(spec)
-    summary += _summary_lines(time_step) + _summary_lines(eigensolve)
-    if outside is not None:
-        summary.append(f"pulse_outside_ga_ranges = {','.join(outside) or 'none'}")
-    summary.append(f"wall_time_s = {wall:.3f}")
-    _write(out, "summary.txt", "\n".join(summary) + "\n")
-    _write_manifest(out, "propagate", config, seed=None, threads=None, time_step=time_step,
-                    eigensolve=eigensolve)
+    result = {"initial_level": config.initial_level, "target_level": config.target_level,
+              "final_p_target": fin[config.target_level],
+              "final_p_initial": fin[config.initial_level],
+              "final_total_bound": rec.total_bound[-1],
+              # 1 - norm dips below 0 when rounding lifts the norm above 1
+              "final_dissociation": max(rec.dissociation[-1], 0.0), "steps": rec.steps}
+    _write_record(out, "propagate", config, started, result=result, time_step=time_step,
+                  eigensolve=_eigensolve_record(spec), ga_ranges=ga_ranges)
     print(
         f"propagate: {rec.steps} steps, p_target={fin[config.target_level]:.4f} -> {out}"
     )
@@ -708,6 +701,7 @@ def cmd_optimize(
     config: RunConfig, out_dir: str, threads: int = 1, surrogate: bool = False,
     seed: int | None = None,
 ) -> dict:
+    started, out = time.perf_counter(), _out_path(out_dir)
     if threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
     if config.ga is None:
@@ -740,7 +734,7 @@ def cmd_optimize(
                          "dt_worst_corner": ", ".join(map(_fmt, corner.as_array()))}
 
     cfg = ga.ga_config(ranges, used_seed)
-    out = _prepare_out(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     best, history = optimize(cfg, problem, threads=threads)
     if not surrogate:
         problem.drop_stepper()  # whoever keeps the problem need not keep its basis
@@ -754,27 +748,15 @@ def cmd_optimize(
         name for name, g, lo, hi in zip(GENE_NAMES, genes, los, his)
         if g <= lo or g >= hi
     ]
-    summary = [
-        f"seed = {used_seed}",
-        f"best_fitness = {_fmt(best.fitness)}",
-        f"evaluations = {history.evaluations}",
-        f"failures = {history.failures}",
-        f"uniform_fallbacks = {history.uniform_fallbacks}",
-        f"surrogate = {surrogate}",
-        f"genes_on_range_boundary = {','.join(on_boundary) if on_boundary else 'none'}",
-    ]
-    summary += [
-        f"range_{name} = {_fmt(lo)}, {_fmt(hi)}" for name, lo, hi in zip(GENE_NAMES, los, his)
-    ]
-    if time_step is not None:
-        summary += _summary_lines(time_step)
-    eigensolve = None
-    if spec is not None:
-        eigensolve = _eigensolve_record(spec)
-        summary += _summary_lines(eigensolve)
-    _write(out, "summary.txt", "\n".join(summary) + "\n")
-    _write_manifest(out, "optimize", config, seed=used_seed, threads=threads,
-                    time_step=time_step, eigensolve=eigensolve)
+    search = {"seed": used_seed, "best_fitness": best.fitness,
+              "evaluations": history.evaluations, "failures": history.failures,
+              "uniform_fallbacks": history.uniform_fallbacks, "surrogate": surrogate,
+              "genes_on_range_boundary": ",".join(on_boundary) or "none"}
+    _write_record(out, "optimize", config, started, seed=used_seed, threads=threads, ga=search,
+                  ga_ranges={f"range_{name}": f"{_fmt(lo)}, {_fmt(hi)}"
+                             for name, lo, hi in zip(GENE_NAMES, los, his)},
+                  time_step=time_step,
+                  eigensolve=None if spec is None else _eigensolve_record(spec))
     print(f"optimize: best J = {best.fitness:.6f} after {history.evaluations} evaluations -> {out}")
     return {"best": best, "history": history, "ranges": ranges, "out": out}
 
@@ -784,6 +766,7 @@ def cmd_pulse_spectrum(
     omega_min: float | None = None, omega_max: float | None = None,
     n_points: int = 2000, with_fft: bool = False,
 ) -> dict:
+    started, out = time.perf_counter(), _out_path(out_dir)
     if n_points < 2:
         raise ConfigError(f"--points must be >= 2, got {n_points}")
     pulse = _resolve_pulse(config, pulse_file, "pulse-spectrum")
@@ -793,7 +776,7 @@ def cmd_pulse_spectrum(
     hi = omega_max if omega_max is not None else pulse.omega0 + 4.0 * sigma
     if not lo < hi:
         raise ConfigError(f"empty spectral range [{lo}, {hi}]")
-    out = _prepare_out(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     w = np.linspace(lo, hi, n_points)
     spectra = {"spectrum.csv": (w, pulse_spectrum_values(pulse, w))}
     if with_fft:
@@ -804,7 +787,8 @@ def cmd_pulse_spectrum(
         nu = w * AU_ANGFREQ_RAD_PER_S / (2 * math.pi)
         _write_csv(out, name, ["omega_au", "nu_hz", "intensity"],
                    np.column_stack([w, nu, intensity]))
-    _write_manifest(out, "pulse-spectrum", config, seed=None, threads=None)
+    _write_record(out, "pulse-spectrum", config, started,
+                  spectrum={"omega_min": lo, "omega_max": hi, "points": n_points})
     print(f"pulse-spectrum: peak at omega0 = {pulse.omega0:g} a.u. -> {out}")
     return {"pulse": pulse, "out": out}
 

@@ -1,4 +1,5 @@
 import configparser
+import hashlib
 import json
 import math
 from dataclasses import fields
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ladderdown import cli
 from ladderdown.cli import (
     ConfigError,
     GaSettings,
@@ -724,3 +726,77 @@ class TestTimeStep:
         assert main(["propagate", "--preset", "desk", "--pulse", str(DESK_PULSE),
                      "--out", str(out)]) == 0
         assert read_summary(out)["pulse_outside_ga_ranges"] == "omega0,tau0,tau"
+
+
+# the runs whose two record files are compared, and the manifest keys each
+# held before summary.txt and manifest.json were rendered from one record
+_RECORDED_RUNS = {
+    "eigensolve": (["eigensolve", "--preset", "desk"], "desk",
+                   {"eigensolve": {"eigensolve": "dense", "eigensolve_points": 1024}}),
+    "propagate": (["propagate", "--preset", "desk", "--pulse", str(DESK_PULSE)], "desk",
+                  {"time_step": {"dt_au": 40.0, "dt_source": "config"},
+                   "eigensolve": {"eigensolve": "dense", "eigensolve_points": 1024}}),
+    "optimize": (["optimize", "--preset", "old20", "--surrogate", "--seed", "5"], "old20",
+                 {"seed": 5, "threads": 1}),
+    "pulse-spectrum": (["pulse-spectrum", "--preset", "mld24"], "mld24", {}),
+}
+
+
+def _render(value):
+    """A manifest value as summary.txt writes it."""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize("command", sorted(_RECORDED_RUNS))
+    def test_summary_and_manifest_hold_the_same_facts(self, tmp_path, command):
+        argv, preset, kept = _RECORDED_RUNS[command]
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        sections = {k: v for k, v in manifest.items() if isinstance(v, dict) and k != "versions"}
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert lines[-1].startswith("wall_time_s = ")
+        assert manifest["timing"] == {"wall_time_s": float(lines[-1].split(" = ")[1])}
+        for line in lines:
+            key, value = line.split(" = ", 1)
+            held = [s[key] for s in sections.values() if key in s]
+            assert [_render(v) for v in held] == [value], line
+        # every key the manifest held before keeps its value and nesting
+        assert manifest["command"] == command
+        assert manifest["config_sha256"] == hashlib.sha256(PRESETS[preset].encode()).hexdigest()
+        assert set(manifest["versions"]) == {"ladderdown", "numpy", "scipy"}
+        expected = {"seed": None, "threads": None, **kept}
+        assert {k: manifest[k] for k in expected} == expected
+
+    @pytest.mark.parametrize("stored, argv", [
+        ("old20-surrogate-seed5", ["optimize", "--preset", "old20", "--surrogate", "--seed", "5"]),
+        ("desk-propagate-dt40", ["propagate", "--preset", "desk", "--pulse", str(DESK_PULSE)]),
+    ])
+    def test_summary_keeps_its_stored_lines(self, tmp_path, stored, argv):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 0
+
+        def facts(path):
+            return [line for line in path.read_text(encoding="utf-8").splitlines()
+                    if not line.startswith("wall_time_s = ")]
+
+        assert facts(out / "summary.txt") == facts(DATA / stored / "summary.txt")
+
+    @pytest.mark.parametrize("argv", [["eigensolve", "--preset", "desk"],
+                                      ["optimize", "--preset", "desk", "--surrogate"]],
+                             ids=["eigensolve", "optimize-surrogate"])
+    @pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+    def test_out_that_is_a_file_is_refused_before_any_solve(
+            self, tmp_path, capsys, monkeypatch, argv, below):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved the bound levels before checking --out")
+
+        monkeypatch.setattr(cli, "solve_bound_states", no_solve)
+        blocker = tmp_path / "taken"
+        blocker.write_bytes(b"not a directory\n")
+        out = blocker / "o" if below else blocker
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and err.count("\n") == 1
+        assert blocker.read_bytes() == b"not a directory\n"
