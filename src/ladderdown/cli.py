@@ -23,7 +23,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -87,7 +87,7 @@ def _fmt(x) -> str:
 # The four production presets pair the stand-in curves with the published
 # search ranges and optimal pulses of the one-rung (old*) and multi-rung
 # (mld*) scenarios; `desk` is a reduced-scale variant that runs in minutes.
-# A [ga] key appears only where it differs from its GaSettings default.
+# A [ga] key appears only where it differs from its default.
 
 _STANDIN_A = krb_standin_potential().a
 
@@ -231,28 +231,6 @@ _REQUIRED = object()
 
 
 @dataclass
-class GaSettings:
-    """[ga] section; a missing key takes the default below (GA ones from GaConfig)."""
-
-    ranges: ParamRanges | None
-    population: int = GaConfig.population_size
-    generations: int = GaConfig.generations
-    elites: int = GaConfig.elite_count
-    crossover_prob: float = GaConfig.crossover_prob
-    mutation_prob: float = GaConfig.mutation_prob
-    seed: int = 1
-    tau_span: float = 10.0
-
-    def ga_config(self, ranges: ParamRanges | None, seed: int) -> GaConfig:
-        """These settings as a GaConfig; raises ValueError where GaConfig's checks fail."""
-        return GaConfig(
-            ranges=ranges, population_size=self.population, generations=self.generations,
-            elite_count=self.elites, crossover_prob=self.crossover_prob,
-            mutation_prob=self.mutation_prob, rng_seed=seed,
-        )
-
-
-@dataclass
 class RunConfig:
     """Fully resolved run description, one-to-one with the config file."""
 
@@ -264,7 +242,8 @@ class RunConfig:
     target_level: int
     ladder: tuple[int, ...]
     pulse: ChirpedPulseParams | None
-    ga: GaSettings | None
+    ga: GaConfig | None
+    tau_span: float  # [ga] tau_span, read only by the heuristic ranges
     dt: float | None
     sample_stride: int
     text: str
@@ -439,14 +418,14 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"[ga]: incomplete explicit ranges, missing {missing}")
         else:
             ranges = None
-        ga = GaSettings(ranges, **{
+        ga = _build("ga", GaConfig, ranges, **{
             f.name: _get(cp, "ga", f.name, type(f.default), f.default)
-            for f in fields(GaSettings)[1:]
+            for f in fields(GaConfig)[1:]
         })
-        if not 1.0 < ga.tau_span < math.inf:
-            # tau_hi = tau_span * tau_lo, so the heuristic tau range needs tau_span > 1
-            raise ConfigError(f"[ga] tau_span: must be > 1 and finite, got {ga.tau_span}")
-        _build("ga", ga.ga_config, ranges, ga.seed)  # GaConfig's checks, before any solve
+    tau_span = _get(cp, "ga", "tau_span", float, 10.0)
+    if not 1.0 < tau_span < math.inf:
+        # tau_hi = tau_span * tau_lo, so the heuristic tau range needs tau_span > 1
+        raise ConfigError(f"[ga] tau_span: must be > 1 and finite, got {tau_span}")
 
     dt = _get(cp, "propagation", "dt", float, None)
     if dt is not None and not dt > 0:
@@ -467,6 +446,7 @@ def parse_config(text: str) -> RunConfig:
         ladder=ladder,
         pulse=pulse,
         ga=ga,
+        tau_span=tau_span,
         dt=dt,
         sample_stride=sample_stride,
         text=text,
@@ -582,7 +562,7 @@ def _ga_ranges(config: RunConfig, spec: VibrationalSpectrum | None) -> ParamRang
     try:
         return heuristic_ranges(
             spec, config.initial_level, config.ladder,
-            lifetime_au=life_s / AU_TIME_S, sdme=sd, tau_span=config.ga.tau_span,
+            lifetime_au=life_s / AU_TIME_S, sdme=sd, tau_span=config.tau_span,
         )
     except ChirpSignError as exc:
         raise ConfigError(f"[levels] ladder: {exc}") from None
@@ -706,10 +686,7 @@ def cmd_optimize(
         raise ConfigError(f"--threads must be >= 1, got {threads}")
     if config.ga is None:
         raise ConfigError("optimize needs a [ga] section")
-    ga = config.ga
-    used_seed = ga.seed if seed is None else seed
-    if used_seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {used_seed}")
+    ga = config.ga if seed is None else _build("ga", replace, config.ga, seed=seed)
 
     spec = None
     if ga.ranges is None or not surrogate:
@@ -733,13 +710,17 @@ def cmd_optimize(
             time_step = {**_tolerance_record(choice),
                          "dt_worst_corner": ", ".join(map(_fmt, corner.as_array()))}
 
-    cfg = ga.ga_config(ranges, used_seed)
     out.mkdir(parents=True, exist_ok=True)
-    best, history = optimize(cfg, problem, threads=threads)
+    best, history = optimize(replace(ga, ranges=ranges), problem, threads=threads)
     if not surrogate:
         problem.drop_stepper()  # whoever keeps the problem need not keep its basis
 
-    _write(out, "history.csv", history.to_csv())
+    columns = zip(history.best_fitness, history.mean_fitness, history.min_fitness,
+                  history.best_params)
+    _write_csv(out, "history.csv",
+               ["generation", "best_fitness", "mean_fitness", "min_fitness", *GENE_NAMES],
+               ([g, b, m, lo, *p.as_array().tolist()]
+                for g, (b, m, lo, p) in enumerate(columns, start=1)))
     _write(out, "best_pulse.cfg", _pulse_to_ini(best.params))
 
     los, his = ranges.as_arrays()
@@ -748,11 +729,11 @@ def cmd_optimize(
         name for name, g, lo, hi in zip(GENE_NAMES, genes, los, his)
         if g <= lo or g >= hi
     ]
-    search = {"seed": used_seed, "best_fitness": best.fitness,
+    search = {"seed": ga.seed, "best_fitness": best.fitness,
               "evaluations": history.evaluations, "failures": history.failures,
               "uniform_fallbacks": history.uniform_fallbacks, "surrogate": surrogate,
               "genes_on_range_boundary": ",".join(on_boundary) or "none"}
-    _write_record(out, "optimize", config, started, seed=used_seed, threads=threads, ga=search,
+    _write_record(out, "optimize", config, started, seed=ga.seed, threads=threads, ga=search,
                   ga_ranges={f"range_{name}": f"{_fmt(lo)}, {_fmt(hi)}"
                              for name, lo, hi in zip(GENE_NAMES, los, his)},
                   time_step=time_step,

@@ -419,6 +419,7 @@ def propagate(
 # largest bound-level population error that a dt chosen from the tolerance may have
 POP_TOL = 1.0e-6
 # in the dt^2 regime the error estimate falls by 4 per halving, give or take this
+# (in the dt^4 regime by 16, give or take 4 times this)
 _RATIO_SLACK = 1.0
 # the search gives up when its finest trial run would pass this many steps
 _SEARCH_MAX_STEPS = 2**20
@@ -470,12 +471,15 @@ def tolerance_time_step(
     two successive halvings, which shows the dt^2 regime. From the finest
     step h' and its estimate e', it predicts dt = h' sqrt(POP_TOL/2 / e'),
     aiming at half the tolerance, and takes no dt coarser than the first
-    step of that regime, 4 h'.
+    step of that regime, 4 h'. Under a field too weak to move population,
+    the estimate falls instead by 16 +- 4 (dt^4) down to rounding; then the
+    search returns the finer step of the first pair whose estimate is at
+    most POP_TOL/2, where the /3 estimate over-states a dt^4 error ~5 times.
 
     Each trial step is one ``stepper.with_dt(h)``, alive while it runs every
     field; the given stepper's own dt plays no part. Raises TimeStepError if
-    the estimate falls below POP_TOL * 1e-4, or a trial run would pass 2^20
-    steps, before it shows the dt^2 regime.
+    the estimate falls below POP_TOL * 1e-4 in neither regime, or a trial
+    run would pass 2^20 steps, before it shows the dt^2 regime.
     """
     if not t_end > 0:
         raise ValueError(f"the search needs t_end > 0, got {t_end}")
@@ -489,17 +493,28 @@ def tolerance_time_step(
             for f in fields
         ])
 
-    prev, estimates, n = None, [], 1
+    def falls_by(ratio):
+        # the last two halvings each divided the estimate by ratio, give or take a quarter
+        e = estimates[-3:]
+        return len(e) == 3 and all(abs(a / b - ratio) <= ratio / 4 * _RATIO_SLACK
+                                   for a, b in zip(e, e[1:]))
+
+    prev, estimates, worsts, n = None, [], [], 1
     while True:
         pops = final_populations(stepper.with_dt(t_end / n), n)
         if prev is not None:
             per_field = np.max(np.abs(prev - pops), axis=1) / 3.0
             estimates.append(float(np.max(per_field)))
-            e = estimates[-3:]
-            resolved = e[-1] >= POP_TOL * _ROUNDING
-            if resolved and len(e) == 3 and all(abs(a / b - 4.0) <= _RATIO_SLACK
-                                                for a, b in zip(e, e[1:])):
+            worsts.append(int(np.argmax(per_field)))
+            resolved = estimates[-1] >= POP_TOL * _ROUNDING
+            if resolved and falls_by(4.0):
                 break
+            if not resolved and falls_by(16.0):
+                k = next(k for k, x in enumerate(estimates) if x <= 0.5 * POP_TOL)
+                h = t_end / 2 ** (k + 1)
+                return TimeStepChoice(dt=h, steps=2 ** (k + 1), estimate=estimates[k],
+                                      measured_dt=h, measured_error=estimates[k],
+                                      worst=worsts[k], search_steps=2 * n - 1)
             if not resolved or 2 * n > _SEARCH_MAX_STEPS:
                 raise TimeStepError(
                     "the population error estimate never fell by 4 per halving of dt "
@@ -512,5 +527,5 @@ def tolerance_time_step(
     steps = math.ceil(t_end / min(h * math.sqrt(0.5 * POP_TOL / err), 4.0 * h))
     dt = t_end / steps
     return TimeStepChoice(dt=dt, steps=steps, estimate=err * (dt / h) ** 2,
-                          measured_dt=h, measured_error=err, worst=int(np.argmax(per_field)),
+                          measured_dt=h, measured_error=err, worst=worsts[-1],
                           search_steps=2 * n - 1)

@@ -15,9 +15,6 @@ import numpy as np
 
 from .constants import FWHM_FACTOR
 
-GENE_NAMES = ("eps0", "omega0", "tau0", "tau", "chirp")
-
-
 class ChirpSignError(Exception):
     """Ladder transition energies do not increase, so no positive chirp fits."""
 
@@ -55,6 +52,10 @@ class ChirpedPulseParams:
     @classmethod
     def from_array(cls, genes) -> "ChirpedPulseParams":
         return cls(*(float(g) for g in genes))
+
+
+# the gene order of every array of genes, ranges and CSV columns
+GENE_NAMES = tuple(f.name for f in fields(ChirpedPulseParams))
 
 
 @dataclass(frozen=True)

@@ -238,8 +238,8 @@ def test_criterion_7_ga_mechanics():
 
     monotone = True
     for seed in range(20):
-        cfg = GaConfig(ranges=ranges, population_size=40, generations=10,
-                       elite_count=5, rng_seed=seed)
+        cfg = GaConfig(ranges=ranges, population=40, generations=10,
+                       elites=5, seed=seed)
         _, hist = optimize(cfg, surrogate)
         b = hist.best_fitness
         monotone = monotone and all(y >= x for x, y in zip(b, b[1:]))
@@ -254,16 +254,16 @@ def test_criterion_7_ga_mechanics():
          abs(freq - 0.75) < 0.01)
     )
 
-    cfg = GaConfig(ranges=ranges, population_size=20, generations=6, elite_count=3,
-                   rng_seed=12)
+    cfg = GaConfig(ranges=ranges, population=20, generations=6, elites=3,
+                   seed=12)
     _, h1 = optimize(cfg, surrogate)
     _, h2 = optimize(cfg, surrogate)
-    checks.append(("byte-identical rerun per seed", h1.to_csv() == h2.to_csv()))
+    checks.append(("byte-identical rerun per seed", h1 == h2))
 
     reached = 0
     for seed in range(10):
-        cfg = GaConfig(ranges=ranges, population_size=40, generations=50,
-                       elite_count=5, rng_seed=seed)
+        cfg = GaConfig(ranges=ranges, population=40, generations=50,
+                       elites=5, seed=seed)
         best, _ = optimize(cfg, surrogate)
         reached += best.fitness >= 0.99  # the surrogate peaks at 1
     checks.append((f"surrogate optimum reached on {reached}/10 seeds", reached == 10))
@@ -286,8 +286,8 @@ def ladder_descent_run(desk_grid, desk_spectrum, desk_sdme, standin_potential,
         potential=standin_potential, dipole=standin_dipole,
         cap=cap, spectrum=desk_spectrum, initial_level=8, target_level=2, dt=40.0,
     )
-    cfg = GaConfig(ranges=ranges, population_size=12, generations=6,
-                   elite_count=2, rng_seed=1)
+    cfg = GaConfig(ranges=ranges, population=12, generations=6,
+                   elites=2, seed=1)
     best, history = optimize(cfg, problem)
 
     random_scores = sorted(

@@ -11,7 +11,6 @@ import pytest
 from ladderdown import cli
 from ladderdown.cli import (
     ConfigError,
-    GaSettings,
     PRESETS,
     _outside_ranges,
     cmd_eigensolve,
@@ -24,8 +23,8 @@ from ladderdown.cli import (
 )
 from ladderdown.constants import AU_ANGFREQ_RAD_PER_S
 from ladderdown.dvr import lifetime, sdme_map, solve_bound_states
-from ladderdown.ga import LadderProblem, init_population
-from ladderdown.propagator import SplitStepper, WavefunctionState, propagate
+from ladderdown.ga import GaConfig, LadderProblem, init_population
+from ladderdown.propagator import POP_TOL, SplitStepper, WavefunctionState, propagate
 from ladderdown.pulse import duration
 from oracles import morse_bound_count, morse_energies
 
@@ -35,6 +34,14 @@ omega0 = 1.15e-4
 tau0 = 1.5e5
 tau = 5e4
 chirp = 1e-12
+"""
+# a field that moves no population on the desk grid within the horizon 4e4
+WEAK_PULSE = """[pulse]
+eps0 = 1e-30
+omega0 = 1.5e-4
+tau0 = 2e4
+tau = 5e3
+chirp = 1e-11
 """
 
 
@@ -95,13 +102,29 @@ class TestConfigParsing:
             parse_config(text)
 
     def test_presets_set_no_ga_key_to_its_default(self):
-        defaults = {f.name: f.default for f in fields(GaSettings)[1:]}
+        defaults = {f.name: f.default for f in fields(GaConfig)[1:]}
         for name, text in PRESETS.items():
             cp = configparser.ConfigParser()
             cp.read_string(text)
             for key, raw in cp["ga"].items():
                 if key in defaults:
                     assert type(defaults[key])(raw) != defaults[key], (name, key)
+
+    def test_ga_ranges_alone_parse_to_the_default_ga_config(self):
+        cp = configparser.ConfigParser()
+        cp.read_string(PRESETS["old20"])
+        assert all(key.endswith("_range") for key in cp["ga"])
+        ga = parse_config(PRESETS["old20"]).ga
+        assert ga.ranges.eps0 == (1.0e-3, 1.0e-2)
+        default = GaConfig(ga.ranges)
+        for f in fields(GaConfig):
+            assert getattr(ga, f.name) == getattr(default, f.name), f.name
+        assert ga.seed == 1
+
+    def test_negative_ga_seed_is_refused_at_parse_time(self):
+        text = PRESETS["desk"].replace("tau_span = 2.5", "tau_span = 2.5\nseed = -1")
+        with pytest.raises(ConfigError, match=r"\[ga\] seed must be >= 0, got -1"):
+            parse_config(text)
 
     def test_presets_all_parse(self):
         for name in PRESETS:
@@ -605,10 +628,11 @@ _REJECTED_INPUTS = {
     "model-beside-file": ("eigensolve", lambda tp: _desk_config(
         tp, "d0 = 0.5\nrd = 28.0\np = 2.0", f"file = {_write(tp / 'd.dat', FLAT_DIPOLE)}"),
         "[dipole] model: unknown key"),
-    # a field of 1e-30 leaves the eigenstate alone: the population error of
-    # the split falls as dt^4, and then to rounding, never by 4 per halving
-    "dt-without-a-dt2-regime": ("propagate", lambda tp: _desk_config(
-        tp, "dt = 40.0\n", "") + ["--pulse", str(_write(tp / "tiny.cfg", TINY_PULSE))],
+    # under a field of 1e-30 the eigenbasis steps of the corner search are
+    # exact: the population error estimate is rounding from the first halving
+    "dt-without-a-dt2-regime": ("optimize", lambda tp: ["--config", str(_unpinned_desk(
+        tp, eps0_range="1e-30, 2e-30", omega0_range="1.4e-4, 1.6e-4",
+        tau0_range="1.5e4, 2.5e4", tau_range="4e3, 6e3", chirp_range="1e-11, 2e-11"))],
         "[propagation] dt is not set, and the population error estimate never fell"),
 }
 
@@ -683,6 +707,21 @@ class TestTimeStep:
         _, data = read_csv(out / "timeseries.csv")
         assert len(data) == math.ceil(steps / 100) + 1
         assert data[-1, 0] == pytest.approx(4e4, rel=1e-12)
+
+    def test_unpinned_propagate_of_a_weak_pulse_holds_the_tolerance(self, tmp_path):
+        # the split's own error leads, falling as dt^4 down to rounding
+        pulse = str(_write(tmp_path / "weak.cfg", WEAK_PULSE))
+        out, pinned = tmp_path / "o", tmp_path / "pinned"
+        assert main(["propagate", "--config", str(_unpinned_desk(tmp_path)),
+                     "--pulse", pulse, "--out", str(out)]) == 0
+        assert read_summary(out)["dt_source"] == "tolerance"
+        assert main(["propagate", "--out", str(pinned), "--pulse", pulse]
+                    + _desk_config(tmp_path, "dt = 40.0", "dt = 5.0")) == 0
+        assert read_summary(pinned)["dt_au"] == "5.0"
+        header, got = read_csv(out / "timeseries.csv")
+        _, ref = read_csv(pinned / "timeseries.csv")
+        p = [k for k, name in enumerate(header) if name.startswith("p_")]
+        assert np.max(np.abs(got[-1, p] - ref[-1, p])) <= POP_TOL
 
     def test_unpinned_optimize_holds_interior_pulses_within_1e5(self, tmp_path):
         config = load_config(str(_unpinned_desk(tmp_path, population=3, generations=2,

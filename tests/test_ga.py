@@ -138,19 +138,19 @@ class TestEvolveGeneration:
 
     def test_requires_evaluated_population(self, surrogate):
         pop = init_population(RANGES, 10, np.random.default_rng(0))
-        cfg = GaConfig(ranges=RANGES, population_size=10, elite_count=2)
+        cfg = GaConfig(ranges=RANGES, population=10, elites=2)
         with pytest.raises(ValueError):
             evolve_generation(pop, cfg, np.random.default_rng(0))
 
     def test_population_size_preserved(self, surrogate):
         pop = self._evaluated_population(surrogate)
-        cfg = GaConfig(ranges=RANGES, population_size=20, elite_count=3)
+        cfg = GaConfig(ranges=RANGES, population=20, elites=3)
         child = evolve_generation(pop, cfg, np.random.default_rng(7))
         assert len(child) == 20
 
     def test_elite_carried_unchanged_with_fitness(self, surrogate):
         pop = self._evaluated_population(surrogate)
-        cfg = GaConfig(ranges=RANGES, population_size=20, elite_count=3)
+        cfg = GaConfig(ranges=RANGES, population=20, elites=3)
         best = max(pop, key=lambda ind: ind.fitness)
         child = evolve_generation(pop, cfg, np.random.default_rng(7))
         carried = [
@@ -164,7 +164,7 @@ class TestEvolveGeneration:
         pop = self._evaluated_population(surrogate)
         scores = np.array([ind.fitness for ind in pop])
         mean = scores.mean()
-        cfg = GaConfig(ranges=RANGES, population_size=20, elite_count=3)
+        cfg = GaConfig(ranges=RANGES, population=20, elites=3)
         child = evolve_generation(pop, cfg, np.random.default_rng(7))
         # survivors are exactly the above-mean parents; they occupy the head
         n_survivors = int(np.sum(scores >= mean))
@@ -177,7 +177,7 @@ class TestEvolveGeneration:
 
     def test_children_respect_gene_clipping(self, surrogate):
         pop = self._evaluated_population(surrogate)
-        cfg = GaConfig(ranges=RANGES, population_size=20, elite_count=3)
+        cfg = GaConfig(ranges=RANGES, population=20, elites=3)
         child = evolve_generation(pop, cfg, np.random.default_rng(7))
         los, his = RANGES.as_arrays()
         genes = np.array([ind.params.as_array() for ind in child])
@@ -187,7 +187,7 @@ class TestEvolveGeneration:
         pop = init_population(RANGES, 12, np.random.default_rng(1))
         for ind in pop:
             ind.fitness = FlatProblem(0.0).evaluate(ind.params)
-        cfg = GaConfig(ranges=RANGES, population_size=12, elite_count=2)
+        cfg = GaConfig(ranges=RANGES, population=12, elites=2)
         from ladderdown.ga import GaHistory
 
         history = GaHistory()
@@ -198,8 +198,8 @@ class TestEvolveGeneration:
 
 class TestOptimize:
     def test_single_generation_returns_best_initial(self, surrogate):
-        cfg = GaConfig(ranges=RANGES, population_size=15, generations=1,
-                       elite_count=2, rng_seed=9)
+        cfg = GaConfig(ranges=RANGES, population=15, generations=1,
+                       elites=2, seed=9)
         best, history = optimize(cfg, surrogate)
         pop = init_population(RANGES, 15, np.random.default_rng(9))
         scores = [surrogate.evaluate(ind.params) for ind in pop]
@@ -209,32 +209,32 @@ class TestOptimize:
 
     def test_best_fitness_monotone_over_20_seeds(self, surrogate):
         for seed in range(20):
-            cfg = GaConfig(ranges=RANGES, population_size=30, generations=8,
-                           elite_count=4, rng_seed=seed)
+            cfg = GaConfig(ranges=RANGES, population=30, generations=8,
+                           elites=4, seed=seed)
             _, history = optimize(cfg, surrogate)
             b = history.best_fitness
             assert all(later >= earlier for earlier, later in zip(b, b[1:]))
 
     def test_surrogate_reaches_optimum_on_10_seeds(self, surrogate):
         for seed in range(10):
-            cfg = GaConfig(ranges=RANGES, population_size=40, generations=50,
-                           elite_count=5, rng_seed=seed)
+            cfg = GaConfig(ranges=RANGES, population=40, generations=50,
+                           elites=5, seed=seed)
             best, _ = optimize(cfg, surrogate)
             assert best.fitness >= 0.99  # the surrogate peaks at 1
 
     def test_rerun_is_byte_identical(self, surrogate):
-        cfg = GaConfig(ranges=RANGES, population_size=20, generations=6,
-                       elite_count=3, rng_seed=4)
+        cfg = GaConfig(ranges=RANGES, population=20, generations=6,
+                       elites=3, seed=4)
         _, h1 = optimize(cfg, surrogate)
         _, h2 = optimize(cfg, surrogate)
-        assert h1.to_csv() == h2.to_csv()
+        assert h1 == h2
 
     def test_parallel_evaluation_matches_serial(self, surrogate):
-        cfg = GaConfig(ranges=RANGES, population_size=16, generations=4,
-                       elite_count=2, rng_seed=8)
+        cfg = GaConfig(ranges=RANGES, population=16, generations=4,
+                       elites=2, seed=8)
         _, serial = optimize(cfg, surrogate, threads=1)
         _, parallel = optimize(cfg, surrogate, threads=2)
-        assert serial.to_csv() == parallel.to_csv()
+        assert serial == parallel
 
     def test_parallel_ladder_run_matches_serial(self, standin_potential, standin_dipole):
         # a real propagation problem; workers get the stepper built here
@@ -248,34 +248,42 @@ class TestOptimize:
         gap = float(spectrum.energies[8] - spectrum.energies[6])
         ranges = ParamRanges(eps0=(1e-3, 5e-3), omega0=(0.8 * gap, 1.2 * gap),
                              tau0=(2e4, 4e4), tau=(5e3, 1e4), chirp=(1e-11, 1e-10))
-        cfg = GaConfig(ranges=ranges, population_size=4, generations=2, elite_count=1,
-                       rng_seed=3)
+        cfg = GaConfig(ranges=ranges, population=4, generations=2, elites=1,
+                       seed=3)
         _, serial = optimize(cfg, problem, threads=1)
         assert "stepper" in pickle.loads(pickle.dumps(problem)).__dict__
         _, parallel = optimize(cfg, problem, threads=2)
         assert max(serial.best_fitness) > 1e-3
-        assert serial.to_csv() == parallel.to_csv()
+        assert serial == parallel
 
     def test_blowups_never_abort_the_run(self):
-        cfg = GaConfig(ranges=RANGES, population_size=10, generations=3,
-                       elite_count=2, rng_seed=2)
+        cfg = GaConfig(ranges=RANGES, population=10, generations=3,
+                       elites=2, seed=2)
         best, history = optimize(cfg, BlowupProblem())
         assert best.fitness == 0.0
         assert history.failures == history.evaluations
         assert len(history.best_fitness) == 3
 
     def test_history_chromosomes_inside_ranges(self, surrogate):
-        cfg = GaConfig(ranges=RANGES, population_size=20, generations=10,
-                       elite_count=3, rng_seed=6)
+        cfg = GaConfig(ranges=RANGES, population=20, generations=10,
+                       elites=3, seed=6)
         _, history = optimize(cfg, surrogate)
         los, his = RANGES.as_arrays()
         for p in history.best_params:
             g = p.as_array()
             assert np.all(g >= los) and np.all(g <= his)
 
+    def test_needs_the_gene_ranges(self, surrogate):
+        with pytest.raises(ValueError, match="ranges"):
+            optimize(GaConfig(None), surrogate)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            GaConfig(ranges=RANGES, seed=-1)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            GaConfig(ranges=RANGES, population_size=5, elite_count=5)
+            GaConfig(ranges=RANGES, population=5, elites=5)
         with pytest.raises(ValueError):
             GaConfig(ranges=RANGES, crossover_prob=1.5)
         with pytest.raises(ValueError):

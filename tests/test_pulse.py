@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from ladderdown.dvr import RadialGrid, solve_bound_states
 from ladderdown.pulse import (
+    GENE_NAMES,
     ChirpSignError,
     ChirpedPulseParams,
     HeuristicRangeError,
@@ -192,6 +194,11 @@ class TestParamRanges:
                 eps0=(1e-3, 1e-3), omega0=(1e-5, 2e-5), tau0=(1e6, 2e6),
                 tau=(1e5, 2e5), chirp=(1e-13, 1e-12),
             )
+
+    def test_fields_follow_the_gene_order(self):
+        # as_arrays, and a ParamRanges built positionally, rely on this order
+        assert GENE_NAMES == ("eps0", "omega0", "tau0", "tau", "chirp")
+        assert tuple(f.name for f in fields(ParamRanges)) == GENE_NAMES
 
 
 def unit_sdme(spec):
