@@ -23,7 +23,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,35 +82,27 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _ini_section(name: str, obj) -> str:
+    """[name] with one ``field = value`` line per field of the dataclass ``obj``."""
+    return f"[{name}]\n" + "".join(f"{f.name} = {_fmt(getattr(obj, f.name))}\n"
+                                   for f in fields(obj))
+
+
 # --- presets ----------------------------------------------------------------
 #
 # The four production presets pair the stand-in curves with the published
 # search ranges and optimal pulses of the one-rung (old*) and multi-rung
 # (mld*) scenarios; `desk` is a reduced-scale variant that runs in minutes.
-# A [ga] key appears only where it differs from its default.
+# A key appears only where it differs from its default.
 
-_STANDIN_A = krb_standin_potential().a
+_CURVES = ("\n" + _ini_section("potential", krb_standin_potential())
+           + "\n" + _ini_section("dipole", krb_standin_dipole()))
 
-_CURVES = f"""
-[potential]
-model = morse
-de = 1.1e-3
-re = 11.0
-a = {_STANDIN_A!r}
-
-[dipole]
-model = ramp
-d0 = 0.5
-rd = 28.0
-p = 2.0
-"""
-
-_COMMON_PRODUCTION = f"""
+_COMMON_PRODUCTION = """
 [grid]
 r_min = 6.0
 r_max = 146.0
 n_points = 5600
-reduced_mass = {MU_K39RB87!r}
 """ + _CURVES + """
 [cap]
 r0 = 100.0
@@ -196,12 +188,11 @@ tau0_range = 3.3e6, 3.5e7
 tau_range = 1.0e6, 1.0e7
 chirp_range = 1.0e-13, 1.0e-12
 """,
-    "desk": f"""
+    "desk": """
 [grid]
 r_min = 8.0
 r_max = 68.0
 n_points = 1024
-reduced_mass = {MU_K39RB87!r}
 """ + _CURVES + """
 [cap]
 r0 = 48.0
@@ -220,15 +211,11 @@ tau_span = 2.5
 
 [propagation]
 dt = 40.0
-sample_stride = 100
 """,
 }
 
 
 # --- config parsing ---------------------------------------------------------
-
-_REQUIRED = object()
-
 
 @dataclass
 class RunConfig:
@@ -257,11 +244,11 @@ class _Ini(configparser.ConfigParser):
         self.asked: set[tuple[str, str]] = set()
 
 
-def _get(cp: _Ini, section, key, cast, default=_REQUIRED):
+def _get(cp: _Ini, section, key, cast, default=MISSING):
     cp.asked.add((section, key))
     raw = cp.get(section, key, fallback=None)
     if raw is None:
-        if default is _REQUIRED:
+        if default is MISSING:
             raise ConfigError(f"[{section}] {key}: required field is missing")
         return default
     try:
@@ -278,6 +265,13 @@ def _build(section: str, make, *args, **kwargs):
         return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from None
+
+
+def _build_fields(cp: _Ini, section: str, cls):
+    """The dataclass ``cls`` from the [section] number keys named as its fields,
+    each defaulting to its field's default, if it has one."""
+    return _build(section, cls, **{f.name: _get(cp, section, f.name, float, f.default)
+                                   for f in fields(cls)})
 
 
 def _parse_pair(raw: str) -> tuple[float, float]:
@@ -345,10 +339,7 @@ def _refuse_unread(cp: _Ini) -> None:
 
 
 def _parse_pulse(cp: _Ini) -> ChirpedPulseParams | None:
-    if not cp.has_section("pulse"):
-        return None
-    return _build("pulse", ChirpedPulseParams,
-                  **{k: _get(cp, "pulse", k, float) for k in GENE_NAMES})
+    return _build_fields(cp, "pulse", ChirpedPulseParams) if cp.has_section("pulse") else None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -362,36 +353,20 @@ def parse_config(text: str) -> RunConfig:
         mu=_get(cp, "grid", "reduced_mass", float, MU_K39RB87),
     )
 
-    if cp.has_option("potential", "file"):
-        potential = _load_curve("potential", _get(cp, "potential", "file", str), grid)
-    else:
-        model = _get(cp, "potential", "model", str, "morse").strip().lower()
-        if model != "morse":
-            raise ConfigError(f"[potential] model: unknown model {model!r}")
-        potential = _build(
-            "potential", MorsePotential,
-            de=_get(cp, "potential", "de", float),
-            re=_get(cp, "potential", "re", float),
-            a=_get(cp, "potential", "a", float),
-        )
-
-    if cp.has_option("dipole", "file"):
-        dipole = _load_curve("dipole", _get(cp, "dipole", "file", str), grid)
-    else:
-        dmodel = _get(cp, "dipole", "model", str, "ramp").strip().lower()
-        if dmodel != "ramp":
-            raise ConfigError(f"[dipole] model: unknown model {dmodel!r}")
-        dipole = _build(
-            "dipole", ExpRampDipole,
-            d0=_get(cp, "dipole", "d0", float),
-            rd=_get(cp, "dipole", "rd", float),
-            p=_get(cp, "dipole", "p", float, 4.0),
-        )
+    curves = {}
+    for section, model, cls in (("potential", "morse", MorsePotential),
+                                ("dipole", "ramp", ExpRampDipole)):
+        if cp.has_option(section, "file"):
+            curves[section] = _load_curve(section, _get(cp, section, "file", str), grid)
+            continue
+        name = _get(cp, section, "model", str, model).strip().lower()
+        if name != model:
+            raise ConfigError(f"[{section}] model: unknown model {name!r}")
+        curves[section] = _build_fields(cp, section, cls)
 
     cap = None
     if cp.has_section("cap"):
-        cap = _build("cap", CapSpec, r0=_get(cp, "cap", "r0", float),
-                     eta=_get(cp, "cap", "eta", float))
+        cap = _build_fields(cp, "cap", CapSpec)
         _build("cap", cap.check_inside, grid)
 
     initial = _get(cp, "levels", "initial", int)
@@ -438,8 +413,8 @@ def parse_config(text: str) -> RunConfig:
     _refuse_unread(cp)  # after every other check, whose message comes first
     return RunConfig(
         grid=grid,
-        potential=potential,
-        dipole=dipole,
+        potential=curves["potential"],
+        dipole=curves["dipole"],
         cap=cap,
         initial_level=initial,
         target_level=target,
@@ -530,12 +505,6 @@ def _resolve_pulse(config: RunConfig, pulse_file: str | None, command: str) -> C
     if config.pulse is None:
         raise ConfigError(f"{command} needs a [pulse] section or --pulse file")
     return config.pulse
-
-
-def _pulse_to_ini(p: ChirpedPulseParams) -> str:
-    lines = ["[pulse]"]
-    lines += [f"{name} = {_fmt(getattr(p, name))}" for name in GENE_NAMES]
-    return "\n".join(lines) + "\n"
 
 
 def _bound_spectrum(config: RunConfig, check_levels: bool = True) -> VibrationalSpectrum:
@@ -648,7 +617,7 @@ def cmd_propagate(config: RunConfig, out_dir: str, pulse_file: str | None = None
                            config.dt or horizon)
     if config.dt is None:
         # dt = horizon/n, so that the run ends at the horizon
-        choice = tolerance_time_step(stepper, psi0, spec, [pulse], horizon)
+        choice = tolerance_time_step(stepper, psi0, spec, [pulse])
         time_step = _tolerance_record(choice)
         stepper = stepper.with_dt(choice.dt)
     out.mkdir(parents=True, exist_ok=True)
@@ -706,9 +675,9 @@ def cmd_optimize(
             shortest = duration(ChirpedPulseParams.from_array(ranges.as_arrays()[0]))
             time_step = _pinned_dt(config, shortest, "the shortest horizon of the gene box")
         else:
-            problem, choice, corner = problem.at_tolerance(ranges)
+            problem, choice = problem.at_tolerance(ranges)
             time_step = {**_tolerance_record(choice),
-                         "dt_worst_corner": ", ".join(map(_fmt, corner.as_array()))}
+                         "dt_worst_corner": ", ".join(map(_fmt, choice.worst.as_array()))}
 
     out.mkdir(parents=True, exist_ok=True)
     best, history = optimize(replace(ga, ranges=ranges), problem, threads=threads)
@@ -721,7 +690,7 @@ def cmd_optimize(
                ["generation", "best_fitness", "mean_fitness", "min_fitness", *GENE_NAMES],
                ([g, b, m, lo, *p.as_array().tolist()]
                 for g, (b, m, lo, p) in enumerate(columns, start=1)))
-    _write(out, "best_pulse.cfg", _pulse_to_ini(best.params))
+    _write(out, "best_pulse.cfg", _ini_section("pulse", best.params))
 
     los, his = ranges.as_arrays()
     genes = best.params.as_array()

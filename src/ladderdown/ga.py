@@ -13,14 +13,18 @@ fitness evaluations are parallelized.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .dvr import VibrationalSpectrum, solve_bound_states
 from .propagator import (
@@ -140,34 +144,23 @@ class LadderProblem:
     def _psi0(self) -> np.ndarray:
         return self.spectrum.wavefunctions[self.initial_level].astype(complex)
 
-    def at_tolerance(
-        self, ranges: ParamRanges
-    ) -> tuple["LadderProblem", TimeStepChoice, ChirpedPulseParams]:
+    def at_tolerance(self, ranges: ParamRanges) -> tuple["LadderProblem", TimeStepChoice]:
         """This problem at the dt that holds POP_TOL at all 32 corners of the gene box.
 
-        ``tolerance_time_step`` runs on the corner pulses, each over its own
-        horizon, and the smallest dt wins. The 32 corners have 4 horizons, and
-        the corners of one horizon share each trial stepper. The basis, D's
-        eigenvectors and U^T Phi are built once for all. Returns the problem
-        at that dt with its stepper built, the winning choice and the corner
-        whose error estimate set it. Raises ``propagator.TimeStepError``
-        where a search does.
+        ``tolerance_time_step`` runs on the corner pulses, each to its own
+        horizon, from one frame: the basis, D's eigenvectors and U^T Phi are
+        built once for all. Returns the problem at the chosen dt with its
+        stepper built, and the choice, whose ``worst`` is the corner that set
+        dt. Raises ``propagator.TimeStepError`` where the search does.
         """
         los, his = ranges.as_arrays()
-        by_horizon: dict[float, list[ChirpedPulseParams]] = {}
-        for upper in itertools.product((False, True), repeat=len(GENE_NAMES)):
-            corner = ChirpedPulseParams.from_array(np.where(upper, his, los))
-            by_horizon.setdefault(duration(corner), []).append(corner)
-        frame = self._eigen_stepper(max(by_horizon))
-        psi0 = self._psi0()
-        worst = None
-        for t_end, corners in by_horizon.items():
-            choice = tolerance_time_step(frame, psi0, self.spectrum, corners, t_end)
-            if worst is None or choice.dt < worst[0].dt:
-                worst = choice, corners[choice.worst]
-        problem = replace(self, dt=worst[0].dt)
-        problem.__dict__["stepper"] = frame.with_dt(problem.dt)
-        return (problem, *worst)
+        corners = [ChirpedPulseParams.from_array(np.where(upper, his, los))
+                   for upper in itertools.product((False, True), repeat=len(GENE_NAMES))]
+        frame = self._eigen_stepper(max(map(duration, corners)))
+        choice = tolerance_time_step(frame, self._psi0(), self.spectrum, corners)
+        problem = replace(self, dt=choice.dt)
+        problem.__dict__["stepper"] = frame.with_dt(choice.dt)
+        return problem, choice
 
     def evaluate(self, params: ChirpedPulseParams) -> float:
         state = WavefunctionState(psi=self._psi0(), t=0.0, grid=self.spectrum.grid)
@@ -210,9 +203,27 @@ def _safe_evaluate(problem, genes) -> tuple[float, bool]:
 _worker_problem = None
 
 
-def _init_worker(problem):
+def _openblas_calls(name: str) -> list:
+    """``scipy_openblas_<name>_num_threads`` of each OpenBLAS that numpy and scipy
+    bundle in their ``.libs`` folders; none where a build has no such library."""
+    calls = []
+    for module, suffix in ((np, "64_"), (scipy, "")):
+        libs = Path(module.__file__).parents[1] / f"{module.__name__}.libs"
+        symbol = f"scipy_openblas_{name}_num_threads{suffix}"
+        for lib in libs.glob("libscipy_openblas*"):
+            call = getattr(ctypes.CDLL(str(lib)), symbol, None)
+            if call is not None:
+                calls.append(call)
+    return calls
+
+
+def _init_worker(problem, threads: int):
     global _worker_problem
     _worker_problem = problem
+    # N workers share the usable cores, so each runs its BLAS on 1/N of them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    for set_threads in _openblas_calls("set"):
+        set_threads(max(1, (cpus or 1) // threads))
 
 
 def _worker_evaluate(genes) -> tuple[float, bool]:
@@ -314,7 +325,8 @@ def optimize(cfg: GaConfig, problem, threads: int = 1) -> tuple[Individual, GaHi
     Deterministic for a fixed config seed: evaluations never touch the
     random stream, so the thread count cannot change the outcome. With
     threads > 1 one pool of worker processes serves the whole run; each
-    worker receives the problem once, when it starts.
+    worker receives the problem once, when it starts, and runs the OpenBLAS
+    that numpy and scipy bundle on its 1/threads share of the usable cores.
     """
     if cfg.ranges is None:
         raise ValueError("optimize needs the gene ranges of cfg")
@@ -325,7 +337,7 @@ def optimize(cfg: GaConfig, problem, threads: int = 1) -> tuple[Individual, GaHi
         if threads > 1:
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=threads, mp_context=multiprocessing.get_context("spawn"),
-                initializer=_init_worker, initargs=(problem,),
+                initializer=_init_worker, initargs=(problem, threads),
             ))
             score = partial(pool.map, _worker_evaluate)
         population = init_population(cfg.ranges, cfg.population, rng)

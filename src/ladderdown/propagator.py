@@ -41,7 +41,7 @@ a built once.
 is built once and carries the curves, the absorber and dt, and
 ``propagate`` adds the clock and the sampled observables.
 
-Where no dt is given, ``tolerance_time_step`` chooses it for a pulse from
+Where no dt is given, ``tolerance_time_step`` chooses it for pulses from
 the population tolerance ``POP_TOL``: Strang's error has only even powers
 of dt, so runs at h and h/2 estimate it, and once halving h is seen to
 quarter the estimate, dt follows from the dt^2 law. Both steppers give the
@@ -59,7 +59,7 @@ import scipy.fft as sfft
 import scipy.linalg as sla
 
 from .dvr import RadialGrid, VibrationalSpectrum
-from .pulse import ChirpedPulseParams, as_field
+from .pulse import ChirpedPulseParams, as_field, duration
 
 
 class PropagationBlowupError(Exception):
@@ -434,13 +434,13 @@ class TimeStepError(Exception):
 
 @dataclass(frozen=True)
 class TimeStepChoice:
-    """A dt chosen from a population tolerance for pulses of one horizon.
+    """A dt chosen from a population tolerance for a set of pulses.
 
-    ``dt`` = t_end / ``steps``, and ``estimate`` is the largest bound-level
-    population error predicted there. It is predicted from the finest trial
-    step ``measured_dt``, whose estimated error ``measured_error`` was
-    largest under field number ``worst``. The trial runs took
-    ``search_steps`` steps per field.
+    ``dt`` = duration(``worst``) / ``steps``, and ``estimate`` is the largest
+    bound-level population error predicted there. It is predicted from the
+    finest trial step ``measured_dt``, whose estimated error ``measured_error``
+    was largest under the pulse ``worst``, which set dt. The trial runs of its
+    horizon took ``search_steps`` steps per pulse.
     """
 
     dt: float
@@ -448,7 +448,7 @@ class TimeStepChoice:
     estimate: float
     measured_dt: float
     measured_error: float
-    worst: int
+    worst: ChirpedPulseParams
     search_steps: int
 
 
@@ -456,41 +456,49 @@ def tolerance_time_step(
     stepper: SplitStepper | EigenStepper,
     psi0: np.ndarray,
     spectrum: VibrationalSpectrum,
-    fields: list,
-    t_end: float,
+    pulses: list[ChirpedPulseParams],
 ) -> TimeStepChoice:
-    """The largest dt = t_end/n at which every bound population at t_end is within POP_TOL.
+    """The largest dt at which every bound population of every pulse is within POP_TOL.
 
-    Strang splitting is symmetric, so its error has only even powers of dt
-    (Hairer, Lubich & Wanner, Geometric Numerical Integration, 2006, ch. II).
-    Two runs from psi0 at t = 0 to t_end, at steps h and h/2, then estimate
-    the error of the h/2 run as e = max |p_v(h) - p_v(h/2)| / 3, over the
-    bound levels v of ``spectrum`` and over ``fields`` (each a callable eps(t)
-    or a ChirpedPulseParams). Starting from one step over the whole span,
-    the search halves the step until the estimate has fallen by 4 +- 1 at
-    two successive halvings, which shows the dt^2 regime. From the finest
-    step h' and its estimate e', it predicts dt = h' sqrt(POP_TOL/2 / e'),
-    aiming at half the tolerance, and takes no dt coarser than the first
-    step of that regime, 4 h'. Under a field too weak to move population,
-    the estimate falls instead by 16 +- 4 (dt^4) down to rounding; then the
-    search returns the finer step of the first pair whose estimate is at
-    most POP_TOL/2, where the /3 estimate over-states a dt^4 error ~5 times.
+    Each pulse runs from psi0 at t = 0 to its horizon t_end = duration(p), in
+    steps h = t_end/n. Strang splitting is symmetric, so its error has only
+    even powers of dt (Hairer, Lubich & Wanner, Geometric Numerical
+    Integration, 2006, ch. II). Runs at steps h and h/2 then estimate the
+    error of the h/2 run as e = max |p_v(h) - p_v(h/2)| / 3, over the bound
+    levels v of ``spectrum`` and over the pulses of one horizon. Starting
+    from one step over the whole span, the search halves the step until the
+    estimate has fallen by 4 +- 1 at two successive halvings, which shows the
+    dt^2 regime. From the finest step h' and its estimate e', it predicts
+    dt = h' sqrt(POP_TOL/2 / e'), aiming at half the tolerance, and takes no
+    dt coarser than the first step of that regime, 4 h'. Under a field too
+    weak to move population, the estimate falls instead by 16 +- 4 (dt^4);
+    once it has done so twice and is at most POP_TOL/2, or has reached
+    rounding, the search returns the finer step of the first pair whose
+    estimate is at most POP_TOL/2, where the /3 estimate over-states a dt^4
+    error ~5 times.
 
-    Each trial step is one ``stepper.with_dt(h)``, alive while it runs every
-    field; the given stepper's own dt plays no part. Raises TimeStepError if
-    the estimate falls below POP_TOL * 1e-4 in neither regime, or a trial
-    run would pass 2^20 steps, before it shows the dt^2 regime.
+    The pulses of one horizon share each trial stepper ``stepper.with_dt(h)``;
+    the given stepper's own dt plays no part. The smallest dt over the
+    horizons wins, the first horizon in the order of ``pulses`` on a tie.
+    Raises TimeStepError if the estimate falls below POP_TOL * 1e-4 in
+    neither regime, or a trial run would pass 2^20 steps, before it shows the
+    dt^2 regime.
     """
-    if not t_end > 0:
-        raise ValueError(f"the search needs t_end > 0, got {t_end}")
-    fields = [as_field(f) if isinstance(f, ChirpedPulseParams) else f for f in fields]
-    grid = spectrum.grid
+    by_horizon: dict[float, list[ChirpedPulseParams]] = {}
+    for p in pulses:
+        by_horizon.setdefault(duration(p), []).append(p)
+    return min((_horizon_time_step(stepper, psi0, spectrum, group, t_end)
+                for t_end, group in by_horizon.items()), key=lambda choice: choice.dt)
+
+
+def _horizon_time_step(stepper, psi0, spectrum, pulses, t_end) -> TimeStepChoice:
+    """``tolerance_time_step``'s search for the pulses of one horizon t_end."""
 
     def final_populations(trial, n):
         return np.array([
-            populations(WavefunctionState(psi=trial.run(psi0, 0.0, n, f), t=t_end, grid=grid),
-                        spectrum)
-            for f in fields
+            populations(WavefunctionState(psi=trial.run(psi0, 0.0, n, as_field(p)), t=t_end,
+                                          grid=spectrum.grid), spectrum)
+            for p in pulses
         ])
 
     def falls_by(ratio):
@@ -503,13 +511,14 @@ def tolerance_time_step(
     while True:
         pops = final_populations(stepper.with_dt(t_end / n), n)
         if prev is not None:
-            per_field = np.max(np.abs(prev - pops), axis=1) / 3.0
-            estimates.append(float(np.max(per_field)))
-            worsts.append(int(np.argmax(per_field)))
+            per_pulse = np.max(np.abs(prev - pops), axis=1) / 3.0
+            estimates.append(float(np.max(per_pulse)))
+            worsts.append(pulses[int(np.argmax(per_pulse))])
             resolved = estimates[-1] >= POP_TOL * _ROUNDING
             if resolved and falls_by(4.0):
                 break
-            if not resolved and falls_by(16.0):
+            # an estimate below rounding is below POP_TOL/2 too
+            if falls_by(16.0) and estimates[-1] <= 0.5 * POP_TOL:
                 k = next(k for k, x in enumerate(estimates) if x <= 0.5 * POP_TOL)
                 h = t_end / 2 ** (k + 1)
                 return TimeStepChoice(dt=h, steps=2 ** (k + 1), estimate=estimates[k],

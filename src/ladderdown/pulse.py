@@ -159,7 +159,7 @@ def heuristic_ranges(
     ladder,
     lifetime_au: float,
     sdme: np.ndarray,
-    tau_span: float = 10.0,
+    tau_span: float,
 ) -> ParamRanges:
     """Physically motivated search bounds for the five pulse genes.
 

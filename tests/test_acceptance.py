@@ -362,7 +362,7 @@ def test_criterion_9_heuristic_ranges(desk_spectrum, desk_sdme):
     harm = solve_bound_states(grid, HarmonicPotential(1.0, 1.0, 10.0), threshold=8.0)
     try:
         heuristic_ranges(harm, 4, (4, 3, 2, 1), lifetime_au=1e30,
-                         sdme=np.ones((harm.bound_count,) * 2))
+                         sdme=np.ones((harm.bound_count,) * 2), tau_span=10.0)
         equal_raises = False
     except ChirpSignError:
         equal_raises = True
@@ -373,7 +373,7 @@ def test_criterion_9_heuristic_ranges(desk_spectrum, desk_sdme):
     )
     try:
         heuristic_ranges(hard, 5, (5, 4, 3, 2), lifetime_au=1e30,
-                         sdme=np.ones((hard.bound_count,) * 2))
+                         sdme=np.ones((hard.bound_count,) * 2), tau_span=10.0)
         decreasing_raises = False
     except ChirpSignError:
         decreasing_raises = True

@@ -2,7 +2,7 @@ import configparser
 import hashlib
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -101,14 +101,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="eps0"):
             parse_config(text)
 
-    def test_presets_set_no_ga_key_to_its_default(self):
-        defaults = {f.name: f.default for f in fields(GaConfig)[1:]}
+    def test_presets_set_no_key_to_its_default(self):
+        # without any one of its keys, a preset fails to parse or says something else
         for name, text in PRESETS.items():
-            cp = configparser.ConfigParser()
-            cp.read_string(text)
-            for key, raw in cp["ga"].items():
-                if key in defaults:
-                    assert type(defaults[key])(raw) != defaults[key], (name, key)
+            whole = replace(parse_config(text), text="")
+            lines = text.splitlines(keepends=True)
+            for k, line in enumerate(lines):
+                if " = " not in line:
+                    continue
+                try:
+                    cut = parse_config("".join(lines[:k] + lines[k + 1:]))
+                except ConfigError:
+                    continue
+                assert replace(cut, text="") != whole, (name, line)
 
     def test_ga_ranges_alone_parse_to_the_default_ga_config(self):
         cp = configparser.ConfigParser()
@@ -522,7 +527,9 @@ class TestPulseSpectrum:
                                           ("r0 = 48.0", "r0 = 200.0"),
                                           ("dt = 40.0", "dt = 0"),
                                           ("dt = 40.0", "dt = -40.0"),
-                                          ("sample_stride = 100", "sample_stride = 0")])
+                                          pytest.param(
+                                              "[propagation]", "[propagation]\nsample_stride = 0",
+                                              id="sample_stride = 100-sample_stride = 0")])
     def test_invalid_config_value_is_a_config_error(self, old, new):
         with pytest.raises(ConfigError):
             parse_config(PRESETS["desk"].replace(old, new))
@@ -533,7 +540,7 @@ class TestSpectrumContradictions:
 
     def test_potential_without_bound_level(self, tmp_path, capsys):
         config = tmp_path / "shallow.ini"
-        config.write_text(PRESETS["desk"].replace("de = 1.1e-3", "de = 1e-9"))
+        config.write_text(PRESETS["desk"].replace("de = 0.0011", "de = 1e-9"))
         rc = main(["eigensolve", "--config", str(config), "--out", str(tmp_path / "e")])
         assert rc == 2
         err = capsys.readouterr().err
@@ -568,11 +575,11 @@ def _write(path, text):
     return path
 
 
-def _desk_table(tmp_path, model_line, rows):
+def _desk_table(tmp_path, header, rows):
     """The desk config with [potential] or [dipole] read from a table of rows."""
     table = tmp_path / "curve.dat"
     table.write_text("".join(f"{row}\n" for row in rows))
-    return _desk_config(tmp_path, model_line, f"file = {table}")
+    return _desk_config(tmp_path, header, f"{header}\nfile = {table}")
 
 
 # a dipole table that covers the desk grid
@@ -603,18 +610,18 @@ _REJECTED_INPUTS = {
     "missing-pulse": ("propagate", lambda tp: ["--preset", "desk", "--pulse",
                                                str(tp / "nowhere.cfg")], "--pulse "),
     "missing-potential-table": ("eigensolve", lambda tp: _desk_config(
-        tp, "model = morse", f"file = {tp / 'nowhere.dat'}"), "[potential] file "),
+        tp, "[potential]", f"[potential]\nfile = {tp / 'nowhere.dat'}"), "[potential] file "),
     "missing-dipole-table": ("eigensolve", lambda tp: _desk_config(
-        tp, "model = ramp", f"file = {tp / 'nowhere.dat'}"), "[dipole] file "),
+        tp, "[dipole]", f"[dipole]\nfile = {tp / 'nowhere.dat'}"), "[dipole] file "),
     "malformed-potential-table": ("eigensolve", lambda tp: _desk_table(
-        tp, "model = morse", ["8 -1e-3", "20 oops", "40 -1e-4", "68 0"]), "[potential] file"),
+        tp, "[potential]", ["8 -1e-3", "20 oops", "40 -1e-4", "68 0"]), "[potential] file"),
     "short-dipole-table": ("eigensolve", lambda tp: _desk_table(
-        tp, "model = ramp", ["8 0.1", "40 0.1", "68 0.1"]), "[dipole] file"),
+        tp, "[dipole]", ["8 0.1", "40 0.1", "68 0.1"]), "[dipole] file"),
     "potential-table-short-of-the-grid": ("eigensolve", lambda tp: _desk_table(
-        tp, "model = morse", [f"{r!r} -1e-3" for r in (8.0, 20.0, 40.0, 60.0)]),
+        tp, "[potential]", [f"{r!r} -1e-3" for r in (8.0, 20.0, 40.0, 60.0)]),
         "does not cover the grid"),
     "dipole-table-short-of-the-grid": ("eigensolve", lambda tp: _desk_table(
-        tp, "model = ramp", [f"{r!r} 0.1" for r in (10.0, 20.0, 40.0, 68.0)]),
+        tp, "[dipole]", [f"{r!r} 0.1" for r in (10.0, 20.0, 40.0, 68.0)]),
         "does not cover the grid"),
     "dt-above-the-pulse-horizon": ("propagate", lambda tp: _desk_config(
         tp, "dt = 40.0", "dt = 5e4") + ["--pulse", str(DESK_PULSE)],
@@ -626,7 +633,8 @@ _REJECTED_INPUTS = {
     "misspelled-section": ("eigensolve", lambda tp: _desk_config(
         tp, "[cap]", "[capp]"), "[capp]: unknown section"),
     "model-beside-file": ("eigensolve", lambda tp: _desk_config(
-        tp, "d0 = 0.5\nrd = 28.0\np = 2.0", f"file = {_write(tp / 'd.dat', FLAT_DIPOLE)}"),
+        tp, "d0 = 0.5\nrd = 28.0\np = 2.0",
+        f"model = ramp\nfile = {_write(tp / 'd.dat', FLAT_DIPOLE)}"),
         "[dipole] model: unknown key"),
     # under a field of 1e-30 the eigenbasis steps of the corner search are
     # exact: the population error estimate is rounding from the first halving

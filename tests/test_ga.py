@@ -1,9 +1,13 @@
+import multiprocessing
+import os
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from ladderdown import ga
 from ladderdown.constants import MU_K39RB87
 from ladderdown.curves import MorsePotential
 from ladderdown.dvr import RadialGrid, solve_bound_states
@@ -28,6 +32,11 @@ RANGES = ParamRanges(
     tau=(1e6, 1e7),
     chirp=(4e-13, 5e-12),
 )
+
+
+def _openblas_threads() -> list[int]:
+    """The thread count of each OpenBLAS that numpy and scipy bundle, in this process."""
+    return [get() for get in ga._openblas_calls("get")]
 
 
 @dataclass(frozen=True)
@@ -255,6 +264,16 @@ class TestOptimize:
         _, parallel = optimize(cfg, problem, threads=2)
         assert max(serial.best_fitness) > 1e-3
         assert serial == parallel
+
+    def test_pool_workers_pin_the_bundled_openblas(self):
+        if not ga._openblas_calls("get"):
+            pytest.skip("numpy and scipy bundle no OpenBLAS with scipy_openblas symbols here")
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=ga._init_worker, initargs=(None, 2)) as pool:
+            counts = pool.submit(_openblas_threads).result()
+        assert len(counts) == len(ga._openblas_calls("get"))
+        assert counts == [max(1, cpus // 2)] * len(counts)
 
     def test_blowups_never_abort_the_run(self):
         cfg = GaConfig(ranges=RANGES, population=10, generations=3,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from ladderdown.propagator import (
     propagate,
     tolerance_time_step,
 )
-from ladderdown.pulse import ChirpedPulseParams, as_field
+from ladderdown.pulse import ChirpedPulseParams, as_field, duration
 from oracles import HarmonicPotential, LinearDipole, ZeroPotential, gaussian_packet
 
 
@@ -478,7 +479,7 @@ class TestToleranceTimeStep:
         stepper = desk_steppers[kind]
         psi0 = desk_spectrum.wavefunctions[8].astype(complex)
         t_end = CI_PULSE.tau0 + 4 * CI_PULSE.tau
-        choice = tolerance_time_step(stepper, psi0, desk_spectrum, [CI_PULSE], t_end)
+        choice = tolerance_time_step(stepper, psi0, desk_spectrum, [CI_PULSE])
         assert choice.dt * choice.steps == pytest.approx(t_end, rel=1e-14)
         assert choice.estimate <= POP_TOL / 2 * (1 + 1e-12)
         got = final_populations(stepper.with_dt(choice.dt), desk_spectrum, psi0, CI_PULSE,
@@ -495,7 +496,7 @@ class TestToleranceTimeStep:
         stepper = desk_steppers[kind]
         psi0 = desk_spectrum.wavefunctions[8].astype(complex)
         t_end = CI_PULSE.tau0 + 4 * CI_PULSE.tau
-        choice = tolerance_time_step(stepper, psi0, desk_spectrum, [CI_PULSE], t_end)
+        choice = tolerance_time_step(stepper, psi0, desk_spectrum, [CI_PULSE])
         n = round(t_end / choice.measured_dt)
         pops = [final_populations(stepper.with_dt(t_end / m), desk_spectrum, psi0, CI_PULSE, m)
                 for m in (n // 2, n, 2 * n, 4 * n)]
@@ -505,16 +506,34 @@ class TestToleranceTimeStep:
             assert 3.0 <= coarse / fine <= 5.0
 
     def test_search_without_a_dt2_regime_raises(self, desk_steppers, desk_spectrum):
-        # without a field the eigenbasis steps are exact: the estimate is rounding
+        # under a field of 1e-30 the eigenbasis steps are exact: the estimate is rounding
         psi0 = desk_spectrum.wavefunctions[8].astype(complex)
         with pytest.raises(TimeStepError, match="never fell by 4"):
-            tolerance_time_step(desk_steppers["eigen"], psi0, desk_spectrum, [None], 4e4)
+            tolerance_time_step(desk_steppers["eigen"], psi0, desk_spectrum,
+                                [replace(CI_PULSE, eps0=1e-30)])
+
+    def test_dt4_search_stops_at_its_answer(self, desk_steppers, desk_spectrum):
+        # under a field of 1e-30 the grid split's own error falls by 16 per halving
+        psi0 = desk_spectrum.wavefunctions[8].astype(complex)
+        choice = tolerance_time_step(desk_steppers["grid"], psi0, desk_spectrum,
+                                     [replace(CI_PULSE, eps0=1e-30)])
+        assert (choice.steps, choice.dt, choice.search_steps) == (256, 156.25, 511)
+        assert choice.estimate <= POP_TOL / 2
+
+    def test_each_pulse_runs_to_its_own_horizon(self, desk_steppers, desk_spectrum):
+        psi0 = desk_spectrum.wavefunctions[8].astype(complex)
+        later = replace(CI_PULSE, tau0=4e4)  # horizon 6e4 a.u.
+        alone = [tolerance_time_step(desk_steppers["eigen"], psi0, desk_spectrum, [p])
+                 for p in (later, CI_PULSE)]
+        both = tolerance_time_step(desk_steppers["eigen"], psi0, desk_spectrum, [later, CI_PULSE])
+        assert both == min(alone, key=lambda choice: choice.dt)
+        assert both.dt * both.steps == pytest.approx(duration(both.worst), rel=1e-14)
 
     def test_search_stops_at_its_step_limit(self, desk_steppers, desk_spectrum, monkeypatch):
         monkeypatch.setattr(propagator, "_SEARCH_MAX_STEPS", 8)
         psi0 = desk_spectrum.wavefunctions[8].astype(complex)
         with pytest.raises(TimeStepError, match="down to dt 5000"):
-            tolerance_time_step(desk_steppers["grid"], psi0, desk_spectrum, [CI_PULSE], 4e4)
+            tolerance_time_step(desk_steppers["grid"], psi0, desk_spectrum, [CI_PULSE])
 
     @pytest.mark.parametrize("kind", ["grid", "eigen"])
     def test_with_dt_steps_as_a_stepper_built_at_that_dt(self, desk_steppers, desk_grid,

@@ -219,7 +219,8 @@ class TestHeuristicRanges:
     def test_bounds_match_bandwidth_brute_force(self, soft_anharmonic_spectrum):
         grid, pot, spec = soft_anharmonic_spectrum
         ladder = (5, 4, 3, 2, 1)
-        ranges = heuristic_ranges(spec, 5, ladder, lifetime_au=1e30, sdme=unit_sdme(spec))
+        ranges = heuristic_ranges(spec, 5, ladder, lifetime_au=1e30,
+                                  sdme=unit_sdme(spec), tau_span=10.0)
         # independent recomputation from raw eigenvalues
         e = spec.energies
         gaps = [e[a] - e[b] for a, b in zip(ladder, ladder[1:])]
@@ -244,7 +245,8 @@ class TestHeuristicRanges:
 
         harm = solve_bound_states(grid, oracles.HarmonicPotential(1.0, 1.0, 10.0), threshold=8.0)
         with pytest.raises(ChirpSignError):
-            heuristic_ranges(harm, 4, (4, 3, 2, 1), lifetime_au=1e30, sdme=unit_sdme(harm))
+            heuristic_ranges(harm, 4, (4, 3, 2, 1), lifetime_au=1e30,
+                             sdme=unit_sdme(harm), tau_span=10.0)
 
     def test_decreasing_gaps_raise_chirp_sign_error(self):
         # hardening quartic: gaps grow upward, wrong direction for descent
@@ -252,17 +254,20 @@ class TestHeuristicRanges:
         pot = AnharmonicPotential(mu=1.0, w=1.0, r0=10.0, quartic=+0.01)
         spec = solve_bound_states(grid, pot, threshold=12.0)
         with pytest.raises(ChirpSignError):
-            heuristic_ranges(spec, 5, (5, 4, 3, 2), lifetime_au=1e30, sdme=unit_sdme(spec))
+            heuristic_ranges(spec, 5, (5, 4, 3, 2), lifetime_au=1e30,
+                             sdme=unit_sdme(spec), tau_span=10.0)
 
     def test_lifetime_guard(self, soft_anharmonic_spectrum):
         _, _, spec = soft_anharmonic_spectrum
         with pytest.raises(HeuristicRangeError):
-            heuristic_ranges(spec, 5, (5, 4, 3, 2, 1), lifetime_au=1e3, sdme=unit_sdme(spec))
+            heuristic_ranges(spec, 5, (5, 4, 3, 2, 1), lifetime_au=1e3,
+                             sdme=unit_sdme(spec), tau_span=10.0)
 
     def test_ladder_must_start_at_initial_level(self, soft_anharmonic_spectrum):
         _, _, spec = soft_anharmonic_spectrum
         with pytest.raises(ValueError):
-            heuristic_ranges(spec, 6, (5, 4, 3), lifetime_au=1e30, sdme=unit_sdme(spec))
+            heuristic_ranges(spec, 6, (5, 4, 3), lifetime_au=1e30,
+                             sdme=unit_sdme(spec), tau_span=10.0)
 
     def test_ranges_are_valid_and_amplitude_capped(self, desk_spectrum, desk_sdme):
         ranges = heuristic_ranges(
