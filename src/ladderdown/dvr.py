@@ -23,7 +23,7 @@ the largest local momentum below the threshold, k_max = sqrt(2 mu (threshold
   Rayleigh-Ritz step, L^T H L w = E L^T L w on the lifted block L, with the
   grid's H applied without forming it (T is Toeplitz, V diagonal). This runs
   when the solve grid has at most a quarter of the grid's points. On the
-  5600-point production grid and threshold 0 it solves 927 points in ~0.15 s
+  5600-point production grid and threshold 0 it solves 927 points in ~0.09 s
   instead of ~14 s (2 vCPUs), with energies within 3e-17 hartree of the dense
   solve and wavefunctions within 2e-13 (in units of dr^-1/2). At a margin of
   1.5 (696 points) the Ritz residual rose to 8e-9 hartree, so the margin is 2.
@@ -54,8 +54,13 @@ momentum.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import scipy.fft as sfft
@@ -186,6 +191,51 @@ def _fix_sign(psi: np.ndarray) -> np.ndarray:
     return -psi if psi[i] < 0 else psi
 
 
+@cache
+def _openblas_calls(name: str, module) -> tuple:
+    """``scipy_openblas_<name>_num_threads`` of each OpenBLAS that ``module``, numpy
+    or scipy, bundles in its ``.libs`` folder; none where it bundles no such library.
+    numpy's is the 64-bit-integer build, whose symbols end in ``64_``."""
+    libs = Path(module.__file__).parents[1] / f"{module.__name__}.libs"
+    symbol = f"scipy_openblas_{name}_num_threads{'64_' if module is np else ''}"
+    calls = []
+    for lib in sorted(libs.glob("libscipy_openblas*")):
+        call = getattr(ctypes.CDLL(str(lib)), symbol, None)
+        if call is not None:
+            call.argtypes = [] if name == "get" else [ctypes.c_int]
+            call.restype = ctypes.c_int if name == "get" else None
+            calls.append(call)
+    return tuple(calls)
+
+
+_NUMPY_BLAS_LOCK = threading.Lock()
+
+
+@contextmanager
+def _one_numpy_blas_thread():
+    """numpy's bundled OpenBLAS on one thread inside, its previous count restored on
+    exit, exceptions included; nothing changes where numpy bundles no such library.
+
+    scipy's LAPACK keeps its threads (``dsytrd`` on the desk grid takes 1.6-1.9
+    times as long at one). Its worker spins for a while after ``dsytrd`` and
+    ``dormqr`` return, so numpy's second thread, started by the lift's matmuls,
+    would put three threads on two cores. The count is process-wide, so one
+    thread at a time holds it: a second caller inside would save the pinned 1
+    and restore it last.
+    """
+    calls = list(zip(_openblas_calls("get", np), _openblas_calls("set", np)))
+    with _NUMPY_BLAS_LOCK:
+        counts = [get() for get, _ in calls]
+        for _, set_threads in calls:
+            set_threads(1)
+        try:
+            yield
+        finally:
+            for (_, set_threads), count in zip(calls, counts):
+                set_threads(count)
+
+
+@_one_numpy_blas_thread()
 def solve_bound_states(grid: RadialGrid, potential, threshold: float = 0.0) -> VibrationalSpectrum:
     """All levels of T + V on ``grid`` below ``threshold``, normalized and sign-fixed.
 
@@ -197,6 +247,8 @@ def solve_bound_states(grid: RadialGrid, potential, threshold: float = 0.0) -> V
     1e-12 hartree, of an eigenvalue of ``grid``'s H. A lift is refused when a
     level solved on the coarse grid lies above V at an end of the grid, when a
     Ritz value rises above ``threshold``, or when a residual exceeds that bound.
+    numpy's bundled OpenBLAS runs one thread during the solve
+    (``_one_numpy_blas_thread``).
 
     The default threshold 0 is the dissociation limit of every shipped
     potential. Raises EmptySpectrumError when nothing is bound, at once for a

@@ -13,7 +13,6 @@ fitness evaluations are parallelized.
 
 from __future__ import annotations
 
-import ctypes
 import itertools
 import multiprocessing
 import os
@@ -21,12 +20,11 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from pathlib import Path
 
 import numpy as np
 import scipy
 
-from .dvr import VibrationalSpectrum, solve_bound_states
+from .dvr import VibrationalSpectrum, _openblas_calls, solve_bound_states
 from .propagator import (
     CapSpec,
     EigenStepper,
@@ -203,27 +201,14 @@ def _safe_evaluate(problem, genes) -> tuple[float, bool]:
 _worker_problem = None
 
 
-def _openblas_calls(name: str) -> list:
-    """``scipy_openblas_<name>_num_threads`` of each OpenBLAS that numpy and scipy
-    bundle in their ``.libs`` folders; none where a build has no such library."""
-    calls = []
-    for module, suffix in ((np, "64_"), (scipy, "")):
-        libs = Path(module.__file__).parents[1] / f"{module.__name__}.libs"
-        symbol = f"scipy_openblas_{name}_num_threads{suffix}"
-        for lib in libs.glob("libscipy_openblas*"):
-            call = getattr(ctypes.CDLL(str(lib)), symbol, None)
-            if call is not None:
-                calls.append(call)
-    return calls
-
-
 def _init_worker(problem, threads: int):
     global _worker_problem
     _worker_problem = problem
     # N workers share the usable cores, so each runs its BLAS on 1/N of them
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    for set_threads in _openblas_calls("set"):
-        set_threads(max(1, (cpus or 1) // threads))
+    for module in (np, scipy):
+        for set_threads in _openblas_calls("set", module):
+            set_threads(max(1, (cpus or 1) // threads))
 
 
 def _worker_evaluate(genes) -> tuple[float, bool]:

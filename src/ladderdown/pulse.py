@@ -60,7 +60,7 @@ GENE_NAMES = tuple(f.name for f in fields(ChirpedPulseParams))
 
 @dataclass(frozen=True)
 class ParamRanges:
-    """Per-gene (min, max) search bounds; min < max and min > 0 for each."""
+    """Per-gene (min, max) search bounds; 0 < min < max < inf for each."""
 
     eps0: tuple[float, float]
     omega0: tuple[float, float]
@@ -75,6 +75,8 @@ class ParamRanges:
                 raise ValueError(f"{f.name}: need min < max, got ({lo}, {hi})")
             if lo <= 0:
                 raise ValueError(f"{f.name}: bounds must be positive, got ({lo}, {hi})")
+            if not math.isfinite(hi):
+                raise ValueError(f"{f.name}: bounds must be finite, got ({lo}, {hi})")
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         los, his = zip(*(getattr(self, f.name) for f in fields(self)))

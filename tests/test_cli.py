@@ -562,8 +562,9 @@ class TestSpectrumContradictions:
         assert not (tmp_path / "o").exists()
 
 
-def _desk_config(tmp_path, old, new):
-    text = PRESETS["desk"]
+def _desk_config(tmp_path, old, new, preset="desk"):
+    """The preset's text, desk unless named, with ``old`` replaced by ``new``."""
+    text = PRESETS[preset]
     assert old in text
     path = tmp_path / "run.ini"
     path.write_text(text.replace(old, new))
@@ -599,6 +600,9 @@ _REJECTED_INPUTS = {
         tp, "tau_span = 2.5", "tau_span = -1"), "[ga] tau_span: "),
     "tau-span-infinite": ("optimize", lambda tp: _desk_config(
         tp, "tau_span = 2.5", "tau_span = inf"), "[ga] tau_span: "),
+    "infinite-ga-range": ("optimize", lambda tp: ["--surrogate"] + _desk_config(
+        tp, "eps0_range = 1.0e-3, 1.0e-2", "eps0_range = 1.0e-3, inf", preset="old20"),
+        "[ga] eps0: bounds must be finite"),
     "ladder-gaps-shrink": ("optimize", lambda tp: _desk_config(
         tp, "ladder = 8, 6, 4, 2", "ladder = 8, 5, 4, 2"), "[levels] ladder: "),
     "ladder-of-one-rung": ("optimize", lambda tp: _desk_config(

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -300,6 +301,83 @@ class TestLift:
         assert spectrum.lift_points is None
         assert np.array_equal(spectrum.energies, kernel.energies)
         assert np.array_equal(spectrum.wavefunctions, kernel.wavefunctions)
+
+
+def _numpy_blas_threads() -> list[int]:
+    return [get() for get in dvr._openblas_calls("get", np)]
+
+
+class TestNumpyBlasThreads:
+    """solve_bound_states runs numpy's bundled OpenBLAS on one thread, then restores it."""
+
+    @pytest.fixture(autouse=True)
+    def two_threads(self):
+        """numpy's OpenBLAS at 2 threads, so that 1 inside a solve shows; reset after."""
+        counts = _numpy_blas_threads()
+        sets = dvr._openblas_calls("set", np)
+        if not (counts and sets):
+            pytest.skip("numpy bundles no OpenBLAS with scipy_openblas thread symbols here")
+        for set_threads in sets:
+            set_threads(2)
+        yield
+        for set_threads, count in zip(sets, counts):
+            set_threads(count)
+
+    def test_a_lift_runs_numpy_blas_on_one_thread(self, production_grid, standin_potential,
+                                                  monkeypatch):
+        seen = []
+
+        def spy(u, samples):
+            seen.append(_numpy_blas_threads())
+            return interpolate(u, samples)
+
+        interpolate = dvr._sinc_interpolate
+        monkeypatch.setattr(dvr, "_sinc_interpolate", spy)
+        spectrum = solve_bound_states(production_grid, standin_potential)
+        assert spectrum.lift_points == 927
+        assert seen == [[1]]
+        assert _numpy_blas_threads() == [2]
+
+    @pytest.mark.parametrize("case", ["dense", "empty"])
+    def test_count_is_restored_after_a_solve_and_after_an_error(
+        self, case, desk_grid, standin_potential, monkeypatch
+    ):
+        seen = []
+
+        def spy(h, grid, threshold=0.0):
+            seen.append(_numpy_blas_threads())
+            return _solve_in_place(h, grid, threshold)
+
+        monkeypatch.setattr(dvr, "_solve_in_place", spy)
+        if case == "dense":
+            assert solve_bound_states(desk_grid, standin_potential).lift_points is None
+        else:
+            # above min V, below the lowest level: the coarse and the dense solve find nothing
+            v_min = standin_potential.value(desk_grid.points).min()
+            with pytest.raises(EmptySpectrumError):
+                solve_bound_states(desk_grid, standin_potential, threshold=v_min + 1e-9)
+        assert seen and all(counts == [1] for counts in seen)
+        assert _numpy_blas_threads() == [2]
+
+    def test_concurrent_solves_restore_the_count(self, harmonic_setup):
+        # unserialized, a solve entering while another is inside saves the pinned 1
+        grid, potential, _ = harmonic_setup
+        errors = []
+
+        def solve_many():
+            try:
+                for _ in range(20):
+                    solve_bound_states(grid, potential, threshold=12.0)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=solve_many) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert _numpy_blas_threads() == [2]
 
 
 class TestSdme:

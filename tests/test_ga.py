@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy
 
-from ladderdown import ga
+from ladderdown import dvr, ga
 from ladderdown.constants import MU_K39RB87
 from ladderdown.curves import MorsePotential
 from ladderdown.dvr import RadialGrid, solve_bound_states
@@ -36,7 +37,7 @@ RANGES = ParamRanges(
 
 def _openblas_threads() -> list[int]:
     """The thread count of each OpenBLAS that numpy and scipy bundle, in this process."""
-    return [get() for get in ga._openblas_calls("get")]
+    return [get() for module in (np, scipy) for get in dvr._openblas_calls("get", module)]
 
 
 @dataclass(frozen=True)
@@ -266,13 +267,14 @@ class TestOptimize:
         assert serial == parallel
 
     def test_pool_workers_pin_the_bundled_openblas(self):
-        if not ga._openblas_calls("get"):
+        here = _openblas_threads()
+        if not here:
             pytest.skip("numpy and scipy bundle no OpenBLAS with scipy_openblas symbols here")
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn"),
                                  initializer=ga._init_worker, initargs=(None, 2)) as pool:
             counts = pool.submit(_openblas_threads).result()
-        assert len(counts) == len(ga._openblas_calls("get"))
+        assert len(counts) == len(here)
         assert counts == [max(1, cpus // 2)] * len(counts)
 
     def test_blowups_never_abort_the_run(self):
