@@ -34,8 +34,11 @@ of the exponential, truncated at the smallest order whose remainder stays
 below 2^-60 for the largest |eps a| of a block of steps. Phases above 1/2
 are halved s times, summed and squared back s times (scaling and squaring;
 Moler & Van Loan, SIAM Rev. 45, 3 (2003)). So every factor is exact to
-rounding, and a step costs one small matrix-vector product with powers of
-a built once.
+rounding. On the grid a step forms its factor as one small
+matrix-vector product with powers of a built once. In the eigenbasis one
+matrix product forms the factors of a whole block of steps, so a step
+there costs one elementwise product and one matrix-vector product with
+the merged full step.
 
 ``propagate(state, field, stepper, t_max)`` drives either one: the stepper
 is built once and carries the curves, the absorber and dt, and
@@ -177,14 +180,18 @@ _ORDER_MAX = _series_order(_THETA_MAX)
 
 
 class _FieldFactor:
-    """exp(-i eps a) for a fixed real phase per unit field a, one step at a time.
+    """exp(-i eps a) for a fixed real phase per unit field a, a block of steps at a time.
 
     Per block of midpoint fields, theta = max|eps| max|a| fixes the order M
     and the number s of squarings (theta / 2^s < 1/2). The factor of a step
-    is then sum_{m<=M} (eps/2^s)^m (-i a)^m/m!, one real matrix-vector
-    product with the rows (-i a)^m/m! (as interleaved real pairs) built once,
-    squared s times. The rows run from the highest power down, so every sum
-    adds its small terms first. A non-finite eps gives a non-finite factor.
+    is then sum_{m<=M} (eps/2^s)^m (-i a)^m/m!, a real product of the weights
+    (eps/2^s)^m with the rows (-i a)^m/m! (as interleaved real pairs) built
+    once, squared s times. The rows run from the highest power down, so every
+    sum adds its small terms first. A non-finite eps gives a non-finite factor.
+    ``steps`` forms one step's factor at a time. ``blocks`` forms all of a
+    block's with one matrix product; the grid stepper keeps to ``steps``,
+    since a block of grid factors would hold 512 x 5600 complex numbers
+    (46 MB) on the production grid.
     """
 
     def __init__(self, a: np.ndarray):
@@ -197,12 +204,12 @@ class _FieldFactor:
         self.rows = rows.view(float)
         self.factor = np.empty(a.size, dtype=complex)
 
-    def steps(self, field, t0: float, dt: float, n_steps: int):
-        """Yield (step index, exp(-i eps(tmid) a)); the next step overwrites the factor."""
-        factor = self.factor
+    def _plans(self, field, t0: float, dt: float, n_steps: int):
+        """Yield (first step index, weights, rows, s) for each block of steps."""
         for start in range(0, n_steps, _BLOCK):
             t_mid = (t0 + start * dt) + dt * (np.arange(min(_BLOCK, n_steps - start)) + 0.5)
-            eps_mid = np.zeros(t_mid.size) if field is None else np.asarray(field(t_mid), float)
+            eps_mid = (np.zeros(t_mid.size) if field is None
+                       else np.broadcast_to(np.asarray(field(t_mid), float), t_mid.shape))
             theta = float(np.max(np.abs(eps_mid))) * self.a_max
             if math.isfinite(theta):
                 s = max(0, math.frexp(theta / _THETA_MAX)[1])
@@ -211,12 +218,25 @@ class _FieldFactor:
                 # every power of a non-finite eps but the zeroth is non-finite
                 s, order = 0, _ORDER_MAX
             weights = (eps_mid[:, None] / 2**s) ** np.arange(order, -1, -1)
-            rows = self.rows[_ORDER_MAX - order:]
+            yield start, weights, self.rows[_ORDER_MAX - order:], s
+
+    def steps(self, field, t0: float, dt: float, n_steps: int):
+        """Yield (step index, exp(-i eps(tmid) a)); the next step overwrites the factor."""
+        factor = self.factor
+        for start, weights, rows, s in self._plans(field, t0, dt, n_steps):
             for k, w in enumerate(weights, start):
                 np.matmul(w, rows, out=factor.view(float))
                 for _ in range(s):
                     np.multiply(factor, factor, out=factor)
                 yield k, factor
+
+    def blocks(self, field, t0: float, dt: float, n_steps: int):
+        """Yield (first step index, the block's factors as rows), one product per block."""
+        for start, weights, rows, s in self._plans(field, t0, dt, n_steps):
+            factors = (weights @ rows).view(complex)
+            for _ in range(s):
+                np.multiply(factors, factors, out=factors)
+            yield start, factors
 
 
 class SplitStepper:
@@ -295,9 +315,14 @@ class EigenStepper:
     phase factors exp(-i eps(tmid) lam dt) and one K x K matvec, with the
     inner half steps of consecutive steps merged into U^T exp(-i H dt) U.
     The phase factors come from the same truncated, scaled and squared
-    Taylor series as on the grid (``_FieldFactor``), exact to rounding. Since
-    -i CAP_K is negative semidefinite, no step increases the norm beyond
-    rounding.
+    Taylor series as on the grid (``_FieldFactor``), exact to rounding, all
+    of a block's formed with one matrix product. Since -i CAP_K is negative
+    semidefinite, no step increases the norm beyond rounding.
+
+    ``full`` stays C-ordered. Its transpose is the same matrix (H is complex
+    symmetric) and ran ~5% faster as the matvec's operand, but OpenBLAS's
+    kernel for that layout rounds differently at one and at two threads, so
+    the GA's scores would depend on the pool's share of the cores.
     """
 
     def __init__(self, basis: VibrationalSpectrum, dipole, cap: CapSpec | None, dt: float):
@@ -343,10 +368,13 @@ class EigenStepper:
         c = self.grid.dr * (self.phi @ psi.real + 1j * (self.phi @ psi.imag))
         c = self.half @ c
         buf = np.empty_like(c)
-        for k, factor in self.field_factor.steps(field, t0, self.dt, n_steps):
-            c *= factor
-            np.matmul(self.half if k == n_steps - 1 else self.full, c, out=buf)
-            c, buf = buf, c
+        for start, factors in self.field_factor.blocks(field, t0, self.dt, n_steps):
+            # every step but the run's last ends with the merged full step
+            for f in factors[:n_steps - 1 - start]:
+                np.multiply(c, f, out=c)
+                np.matmul(self.full, c, out=buf)
+                c, buf = buf, c
+        c = self.half @ (c * factors[-1])
         return self.phi.T @ c.real + 1j * (self.phi.T @ c.imag)
 
 
@@ -361,8 +389,9 @@ def propagate(
     """Propagate with ``stepper`` until t >= t_max, sampling observables.
 
     The stepper carries the curves, the absorber and dt; it must be built on
-    the state's grid with dt > 0. ``field`` may be a callable eps(t), a
-    ChirpedPulseParams, or None for field-free steps. Observables are
+    the state's grid with dt > 0. ``field`` may be a callable eps(t), which
+    may return one value for an array of times, a ChirpedPulseParams, or
+    None for field-free steps. Observables are
     recorded at the start, every ``sample_stride`` steps, and at the final
     step. With ``spectrum``, every sample holds the population of each of its
     bound levels. Raises PropagationBlowupError if the norm goes non-finite.

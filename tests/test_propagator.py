@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ladderdown.curves import MorsePotential
-from ladderdown.dvr import RadialGrid, sdme_map, solve_bound_states
+from ladderdown.dvr import RadialGrid, _openblas_calls, sdme_map, solve_bound_states
 from ladderdown import propagator
 from ladderdown.propagator import (
     POP_TOL,
@@ -131,19 +131,58 @@ class TestStepperRun:
         assert grid.dr * np.sum(np.abs(whole) ** 2) < 1.0 - 1e-3
 
 
+THETAS = [0.0, 1e-3, 0.1, 0.49, 0.5, 0.51, 1.0, 3.0, 7.5, 20.0]
+
+
 class TestFieldFactor:
+    @staticmethod
+    def factors(a, eps, stacked):
+        """Every step's factor under the field eps[k] at step k, as rows."""
+        field = lambda t: eps[np.floor(np.asarray(t)).astype(int)]
+        factor = _FieldFactor(a)
+        if stacked:
+            return np.concatenate([f for _, f in factor.blocks(field, 0.0, 1.0, eps.size)])
+        return np.array([f.copy() for _, f in factor.steps(field, 0.0, 1.0, eps.size)])
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])  # -1: the phases of a negative dt
-    @pytest.mark.parametrize("theta", [0.0, 1e-3, 0.1, 0.49, 0.5, 0.51, 1.0, 3.0, 7.5, 20.0])
+    @pytest.mark.parametrize("theta", THETAS)
     def test_matches_exp(self, theta, sign):
         rng = np.random.default_rng(7)
         a = sign * np.append(rng.uniform(-1.0, 1.0, 2000), 1.0)  # max|a| = 1
         eps = theta * np.array([1.0, -0.3, 0.7, -1.0, 0.0])
-        field = lambda t: eps[np.floor(np.asarray(t)).astype(int)]
-        got = np.array([f.copy() for _, f in _FieldFactor(a).steps(field, 0.0, 1.0, eps.size)])
         want = np.exp(-1j * eps[:, None] * a)
-        # each squaring doubles the rounding error of the halved phase, so above
-        # a few radians the error grows like theta, as exp's does with its argument
-        assert np.max(np.abs(got - want)) <= 2e-15 * max(1.0, theta / 2.0)
+        for stacked in (False, True):
+            got = self.factors(a, eps, stacked)
+            # each squaring doubles the rounding error of the halved phase, so above
+            # a few radians the error grows like theta, as exp's does with its argument
+            assert np.max(np.abs(got - want)) <= 2e-15 * max(1.0, theta / 2.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_stacked_blocks_match_the_rows(self, theta, sign):
+        # 600 steps span two blocks; the last step carries the largest field
+        rng = np.random.default_rng(7)
+        a = sign * np.append(rng.uniform(-1.0, 1.0, 2000), 1.0)
+        eps = theta * np.append(rng.uniform(-1.0, 1.0, 599), 1.0)
+        rows, stacked = self.factors(a, eps, False), self.factors(a, eps, True)
+        # the matrix product and the per-row one round the unsquared factor about
+        # one ulp apart, and each of the s squarings doubles that; 2^s <= 4 theta
+        assert np.max(np.abs(stacked - rows)) <= 2e-16 * max(1.0, 4.0 * theta)
+
+    @pytest.mark.parametrize("eigen", [False, True])
+    def test_a_scalar_field_steps_as_its_samples(self, harmonic_system, eigen):
+        # a callable field may return one value for an array of times
+        grid, pot, dip, spectrum = harmonic_system
+        dt = 0.01
+        stepper = (EigenStepper(spectrum, dip, None, dt) if eigen
+                   else SplitStepper(grid, pot, dip, None, dt))
+        state = WavefunctionState(psi=spectrum.wavefunctions[0].astype(complex), t=0.0,
+                                  grid=grid)
+        scalar, samples = (propagate(state, field, stepper, t_max=1.0, spectrum=spectrum)
+                           for field in (lambda t: 0.5, lambda t: np.full(np.shape(t), 0.5)))
+        assert np.array_equal(scalar.final_state.psi, samples.final_state.psi)
+        assert np.array_equal(scalar.field_values, samples.field_values)
+        assert scalar.populations[-1, 0] < 1.0 - 1e-3  # the field did act
 
     @pytest.mark.parametrize("eigen", [False, True])
     def test_nan_field_at_one_midpoint_blows_up(self, harmonic_system, eigen):
@@ -421,6 +460,27 @@ class TestEigenStepper:
                                   desk_spectrum, 40.0, s).populations[-1]
              for s in (stepper, wide)]
         assert np.max(np.abs(p[0] - p[1])) < 1e-7
+
+    def test_run_is_byte_identical_at_one_and_two_blas_threads(self, desk_eigen):
+        # optimize's pool workers run numpy's OpenBLAS at their share of the
+        # cores, so every --threads writes the same scores only if a run's
+        # arithmetic does not depend on the thread count
+        get, set_threads = _openblas_calls("get", np), _openblas_calls("set", np)
+        if not (get and set_threads):
+            pytest.skip("numpy bundles no OpenBLAS with scipy_openblas thread calls here")
+        _, pulse, stepper, state = desk_eigen
+        counts = [g() for g in get]
+        runs = []
+        try:
+            for threads in (1, 2):
+                for set_count in set_threads:
+                    set_count(threads)
+                # 1100 steps: two full blocks of field factors and part of a third
+                runs.append(stepper.run(state.psi.copy(), 0.0, 1100, as_field(pulse)))
+        finally:
+            for set_count, count in zip(set_threads, counts):
+                set_count(count)
+        assert runs[0].tobytes() == runs[1].tobytes()
 
     def test_norm_never_increases_under_cap(self, desk_eigen, desk_grid, desk_spectrum,
                                             standin_potential, standin_dipole):
