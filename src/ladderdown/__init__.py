@@ -27,7 +27,6 @@ from .dvr import (
 from .ga import (
     GaConfig,
     GaHistory,
-    Individual,
     LadderProblem,
     SurrogateProblem,
     evolve_generation,

@@ -690,15 +690,16 @@ def cmd_optimize(
                ["generation", "best_fitness", "mean_fitness", "min_fitness", *GENE_NAMES],
                ([g, b, m, lo, *p.as_array().tolist()]
                 for g, (b, m, lo, p) in enumerate(columns, start=1)))
-    _write(out, "best_pulse.cfg", _ini_section("pulse", best.params))
+    _write(out, "best_pulse.cfg", _ini_section("pulse", best))
 
     los, his = ranges.as_arrays()
-    genes = best.params.as_array()
+    genes = best.as_array()
     on_boundary = [
         name for name, g, lo, hi in zip(GENE_NAMES, genes, los, his)
         if g <= lo or g >= hi
     ]
-    search = {"seed": ga.seed, "best_fitness": best.fitness,
+    best_j = history.best_fitness[-1]
+    search = {"seed": ga.seed, "best_fitness": best_j,
               "evaluations": history.evaluations, "failures": history.failures,
               "uniform_fallbacks": history.uniform_fallbacks, "surrogate": surrogate,
               "genes_on_range_boundary": ",".join(on_boundary) or "none"}
@@ -707,7 +708,7 @@ def cmd_optimize(
                              for name, lo, hi in zip(GENE_NAMES, los, his)},
                   time_step=time_step,
                   eigensolve=None if spec is None else _eigensolve_record(spec))
-    print(f"optimize: best J = {best.fitness:.6f} after {history.evaluations} evaluations -> {out}")
+    print(f"optimize: best J = {best_j:.6f} after {history.evaluations} evaluations -> {out}")
     return {"best": best, "history": history, "ranges": ranges, "out": out}
 
 

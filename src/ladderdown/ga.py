@@ -1,10 +1,12 @@
 """Genetic optimization of the five pulse genes.
 
-One evaluation cycle scores every pulse by propagating the initial
-vibrational state and projecting on the target level; evolution then
-eliminates below-mean individuals, protects an elite, refills the
+A generation is an (n, 5) array of genes, one pulse per row in the order
+of ``GENE_NAMES``, and a length-n array of fitness in which NaN marks a row
+still to be scored. One evaluation cycle scores those rows by propagating
+the initial vibrational state and projecting on the target level;
+evolution then eliminates below-mean rows, protects an elite, refills the
 population through roulette-wheel crossover, and applies range-clipped
-Gaussian mutation to everyone but the elite.
+Gaussian mutation to every row but the elite.
 
 All random draws come from one sequential generator, used only between
 evaluation rounds, so runs are reproducible bit-for-bit no matter how the
@@ -38,14 +40,6 @@ from .pulse import GENE_NAMES, ChirpedPulseParams, ParamRanges, duration
 
 # std dev of a mutation kick, as a fraction of the gene's range width
 _MUTATION_SCALE = 0.1
-
-
-@dataclass
-class Individual:
-    """A pulse chromosome with its fitness score (None until evaluated)."""
-
-    params: ChirpedPulseParams
-    fitness: float | None = None
 
 
 @dataclass(frozen=True)
@@ -86,13 +80,12 @@ class GaHistory:
     failures: int = 0
     uniform_fallbacks: int = 0
 
-    def record(self, population: list[Individual]):
-        scores = np.array([ind.fitness for ind in population])
-        best = int(np.argmax(scores))
-        self.best_fitness.append(float(scores[best]))
-        self.mean_fitness.append(float(np.mean(scores)))
-        self.min_fitness.append(float(np.min(scores)))
-        self.best_params.append(population[best].params)
+    def record(self, genes: np.ndarray, fitness: np.ndarray):
+        best = int(np.argmax(fitness))
+        self.best_fitness.append(float(fitness[best]))
+        self.mean_fitness.append(float(np.mean(fitness)))
+        self.min_fitness.append(float(np.min(fitness)))
+        self.best_params.append(ChirpedPulseParams.from_array(genes[best]))
 
 
 @dataclass(frozen=True)
@@ -215,26 +208,19 @@ def _worker_evaluate(genes) -> tuple[float, bool]:
     return _safe_evaluate(_worker_problem, genes)
 
 
-def _evaluate_population(population: list[Individual], score, history: GaHistory):
-    """Score the unevaluated individuals; ``score`` maps a list of genes to results."""
-    todo = [i for i, ind in enumerate(population) if ind.fitness is None]
-    if not todo:
-        return
-    results = score([population[i].params.as_array() for i in todo])
-    for i, (j, failed) in zip(todo, results):
-        population[i].fitness = j
+def _evaluate_population(genes: np.ndarray, fitness: np.ndarray, score, history: GaHistory):
+    """Score the NaN rows of ``fitness`` in place; ``score`` maps rows of genes to results."""
+    todo = np.flatnonzero(np.isnan(fitness))
+    for i, (j, failed) in zip(todo, score(genes[todo])):
+        fitness[i] = j
         history.failures += failed
     history.evaluations += len(todo)
 
 
-def init_population(ranges: ParamRanges, n: int,
-                    rng: np.random.Generator) -> list[Individual]:
-    """n unscored individuals, each with its five genes drawn uniformly from their ranges."""
+def init_population(ranges: ParamRanges, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n rows of genes, each drawn uniformly from the ranges."""
     los, his = ranges.as_arrays()
-    return [
-        Individual(params=ChirpedPulseParams.from_array(rng.uniform(los, his)))
-        for _ in range(n)
-    ]
+    return np.array([rng.uniform(los, his) for _ in range(n)])
 
 
 def roulette_pick(fitness: np.ndarray, rng: np.random.Generator) -> int:
@@ -243,75 +229,64 @@ def roulette_pick(fitness: np.ndarray, rng: np.random.Generator) -> int:
     return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
 
 
-def evolve_generation(population: list[Individual], cfg: GaConfig,
+def evolve_generation(genes: np.ndarray, fitness: np.ndarray, cfg: GaConfig,
                       rng: np.random.Generator,
-                      history: GaHistory | None = None) -> list[Individual]:
+                      history: GaHistory | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One evolution cycle: eliminate, protect elite, cross over, mutate.
 
-    Individuals scoring below the population mean are dropped; the best
-    survivors are carried over untouched (fitness kept); the population is
-    refilled with children of roulette-picked survivor pairs whose genes
-    swap with the crossover probability; finally every non-elite gene
-    mutates with the mutation probability by a range-clipped Gaussian kick.
-    Returned non-elite individuals are unevaluated.
+    Rows scoring below the population mean are dropped; the survivors stay
+    at the head in their order, and the best of them, the elite, keep their
+    genes and scores. The population is refilled with children of
+    roulette-picked survivor pairs whose genes swap with the crossover
+    probability; finally every gene of every other row mutates with the
+    mutation probability by a range-clipped Gaussian kick, and its score is
+    NaN. Returns new arrays; the inputs are left as they are.
     """
-    if any(ind.fitness is None for ind in population):
+    if np.isnan(fitness).any():
         raise ValueError("evolve_generation requires a fully evaluated population")
-    scores = np.array([ind.fitness for ind in population])
-    mean = float(np.mean(scores))
-    survivors = [ind for ind in population if ind.fitness >= mean]
-    order = sorted(range(len(survivors)), key=lambda k: -survivors[k].fitness)
-    elite_idx = set(order[: cfg.elites])
-
-    sur_fitness = np.array([ind.fitness for ind in survivors])
+    # the mean of equal scores can round above them all; the max keeps the best row
+    keep = fitness >= min(float(np.mean(fitness)), float(np.max(fitness)))
+    sur_genes, sur_fitness = genes[keep], fitness[keep]
     degenerate = float(np.sum(sur_fitness)) <= 0.0
     if degenerate and history is not None:
         history.uniform_fallbacks += 1
 
     def pick_parent() -> np.ndarray:
         if degenerate:
-            k = int(rng.integers(len(survivors)))
-        else:
-            k = roulette_pick(sur_fitness, rng)
-        return survivors[k].params.as_array()
+            return sur_genes[int(rng.integers(len(sur_genes)))]
+        return sur_genes[roulette_pick(sur_fitness, rng)]
 
-    n_children = cfg.population - len(survivors)
-    children: list[Individual] = []
-    for _ in range(n_children):
+    children = []
+    for _ in range(cfg.population - len(sur_genes)):
         a, b = pick_parent(), pick_parent()
         swap = rng.random(len(GENE_NAMES)) < cfg.crossover_prob
-        child = np.where(swap, b, a)  # sibling np.where(swap, a, b) is discarded
-        children.append(Individual(params=ChirpedPulseParams.from_array(child)))
+        children.append(np.where(swap, b, a))  # sibling np.where(swap, a, b) is discarded
+    new_genes = np.vstack([sur_genes, *children])
 
+    new_fitness = np.full(len(new_genes), np.nan)
+    elites = np.argsort(-sur_fitness, kind="stable")[: cfg.elites]
+    new_fitness[elites] = sur_fitness[elites]
     los, his = cfg.ranges.as_arrays()
     widths = his - los
-    new_pop: list[Individual] = []
-    for k, ind in enumerate(survivors):
-        if k in elite_idx:
-            new_pop.append(replace(ind))
-        else:
-            new_pop.append(Individual(params=ind.params))
-    new_pop.extend(children)
-    for idx, ind in enumerate(new_pop):
-        if idx < len(survivors) and idx in elite_idx:
-            continue
-        genes = ind.params.as_array()
-        for g in range(len(genes)):
+    for i in np.flatnonzero(np.isnan(new_fitness)):
+        row = new_genes[i]  # a view: an integer index, not a mask
+        for g in range(len(row)):
             if rng.random() < cfg.mutation_prob:
-                genes[g] += rng.normal(0.0, _MUTATION_SCALE * widths[g])
-        ind.params = ChirpedPulseParams.from_array(np.clip(genes, los, his))
-        ind.fitness = None
-    return new_pop
+                row[g] += rng.normal(0.0, _MUTATION_SCALE * widths[g])
+        np.clip(row, los, his, out=row)
+    return new_genes, new_fitness
 
 
-def optimize(cfg: GaConfig, problem, threads: int = 1) -> tuple[Individual, GaHistory]:
-    """Run the full optimization cycle and return the best-ever individual.
+def optimize(cfg: GaConfig, problem, threads: int = 1) -> tuple[ChirpedPulseParams, GaHistory]:
+    """Run the full optimization cycle; return the best pulse of every score, and the history.
 
-    Deterministic for a fixed config seed: evaluations never touch the
-    random stream, so the thread count cannot change the outcome. With
-    threads > 1 one pool of worker processes serves the whole run; each
-    worker receives the problem once, when it starts, and runs the OpenBLAS
-    that numpy and scipy bundle on its 1/threads share of the usable cores.
+    The top elite carries the best-ever score, so that pulse is the best row
+    of the last generation, and its J is ``history.best_fitness[-1]``.
+    Deterministic for a fixed config seed: evaluations never touch the random
+    stream, so the thread count cannot change the outcome. With threads > 1
+    one pool of worker processes serves the whole run; each worker receives
+    the problem once, when it starts, and runs the OpenBLAS that numpy and
+    scipy bundle on its 1/threads share of the usable cores.
     """
     if cfg.ranges is None:
         raise ValueError("optimize needs the gene ranges of cfg")
@@ -325,12 +300,12 @@ def optimize(cfg: GaConfig, problem, threads: int = 1) -> tuple[Individual, GaHi
                 initializer=_init_worker, initargs=(problem, threads),
             ))
             score = partial(pool.map, _worker_evaluate)
-        population = init_population(cfg.ranges, cfg.population, rng)
-        _evaluate_population(population, score, history)
-        history.record(population)
+        genes = init_population(cfg.ranges, cfg.population, rng)
+        fitness = np.full(cfg.population, np.nan)
+        _evaluate_population(genes, fitness, score, history)
+        history.record(genes, fitness)
         for _ in range(cfg.generations - 1):
-            population = evolve_generation(population, cfg, rng, history)
-            _evaluate_population(population, score, history)
-            history.record(population)
-    best = max(population, key=lambda ind: ind.fitness)
-    return replace(best), history
+            genes, fitness = evolve_generation(genes, fitness, cfg, rng, history)
+            _evaluate_population(genes, fitness, score, history)
+            history.record(genes, fitness)
+    return history.best_params[-1], history

@@ -264,8 +264,8 @@ def test_criterion_7_ga_mechanics():
     for seed in range(10):
         cfg = GaConfig(ranges=ranges, population=40, generations=50,
                        elites=5, seed=seed)
-        best, _ = optimize(cfg, surrogate)
-        reached += best.fitness >= 0.99  # the surrogate peaks at 1
+        _, hist = optimize(cfg, surrogate)
+        reached += hist.best_fitness[-1] >= 0.99  # the surrogate peaks at 1
     checks.append((f"surrogate optimum reached on {reached}/10 seeds", reached == 10))
 
     runtime = time.perf_counter() - t0
@@ -291,15 +291,16 @@ def ladder_descent_run(desk_grid, desk_spectrum, desk_sdme, standin_potential,
     best, history = optimize(cfg, problem)
 
     random_scores = sorted(
-        problem.evaluate(init_population(ranges, 1, np.random.default_rng(seed))[0].params)
+        problem.evaluate(ChirpedPulseParams.from_array(
+            init_population(ranges, 1, np.random.default_rng(seed))[0]))
         for seed in range(100, 110)
     )
     state = WavefunctionState(
         psi=desk_spectrum.wavefunctions[8].astype(complex), t=0.0, grid=desk_grid
     )
     trace = propagate(
-        state, best.params, SplitStepper(desk_grid, standin_potential, standin_dipole, cap, 40.0),
-        t_max=best.params.tau0 + 4.0 * best.params.tau,
+        state, best, SplitStepper(desk_grid, standin_potential, standin_dipole, cap, 40.0),
+        t_max=best.tau0 + 4.0 * best.tau,
         sample_stride=100, spectrum=desk_spectrum,
     )
     return {
@@ -328,8 +329,8 @@ def test_criterion_8_end_to_end_ladder_descent(ladder_descent_run):
     report(8, "end-to-end ladder descent", [
         (f"(a) initial level emptied below 5% (got {100 * p_initial:.2f}%)",
          p_initial < 0.05),
-        (f"(b) optimized J={run['best'].fitness:.3f} beats random median "
-         f"{median_random:.3f}", run["best"].fitness > median_random),
+        (f"(b) optimized J={run['history'].best_fitness[-1]:.3f} beats random median "
+         f"{median_random:.3f}", run["history"].best_fitness[-1] > median_random),
         (f"(c) rung peak times sequential: {['%.3g' % t for t in peak_times]}",
          monotone),
         (f"runtime < 15 min (got {run['runtime']:.0f} s)", run["runtime"] < 900.0),

@@ -25,7 +25,7 @@ from ladderdown.constants import AU_ANGFREQ_RAD_PER_S
 from ladderdown.dvr import lifetime, sdme_map, solve_bound_states
 from ladderdown.ga import GaConfig, LadderProblem, init_population
 from ladderdown.propagator import POP_TOL, SplitStepper, WavefunctionState, propagate
-from ladderdown.pulse import duration
+from ladderdown.pulse import ChirpedPulseParams, duration
 from oracles import morse_bound_count, morse_energies
 
 TINY_PULSE = """[pulse]
@@ -350,7 +350,7 @@ class TestOptimize:
         # chain: the optimizer's output is a valid propagate pulse file. Its
         # horizon is ~5e7 a.u., so the desk grid replays it in 2000 steps
         # instead of the desk preset's dt 40.
-        dt = duration(best.params) / 2000
+        dt = duration(best) / 2000
         desk = parse_config(PRESETS["desk"].replace("dt = 40.0\n", f"dt = {dt!r}\n"))
         assert desk.dt == dt
         run_out = tmp_path / "chained"
@@ -381,6 +381,18 @@ class TestOptimize:
         stored_best.read(stored / "best_pulse.cfg")
         for gene, value in stored_best["pulse"].items():
             assert float(best["pulse"][gene]) == pytest.approx(float(value), rel=1e-12)
+
+    def test_equal_scores_run_to_the_end(self, tmp_path):
+        # without mutation, the surrogate's generations fill with equal scores
+        # whose mean can round above them all; every row must still survive
+        config = tmp_path / "flat.ini"
+        config.write_text(PRESETS["old20"] + "population = 6\ngenerations = 60\n"
+                          "elites = 1\nmutation_prob = 0.0\n")
+        out = tmp_path / "o"
+        assert main(["optimize", "--config", str(config), "--surrogate", "--seed", "39",
+                     "--out", str(out)]) == 0
+        _, history = read_csv(out / "history.csv")
+        assert len(history) == 60
 
     def test_summary_reports_uniform_fallbacks(self, tmp_path):
         config = load_config(None, "old20")
@@ -757,8 +769,9 @@ class TestTimeStep:
         state = WavefunctionState(psi=spec.wavefunctions[8].astype(complex), t=0.0,
                                   grid=config.grid)
         errors = []
-        for ind in init_population(result["ranges"], 10, np.random.default_rng(11)):
-            p, t_end = ind.params, duration(ind.params)
+        for genes in init_population(result["ranges"], 10, np.random.default_rng(11)):
+            p = ChirpedPulseParams.from_array(genes)
+            t_end = duration(p)
             got, ref = (propagate(state, p, s, t_end, sample_stride=10**9, spectrum=spec)
                         for s in (problem.stepper, grid))
             assert got.dt == dt

@@ -2,7 +2,8 @@ import multiprocessing
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ladderdown.curves import MorsePotential
 from ladderdown.dvr import RadialGrid, solve_bound_states
 from ladderdown.ga import (
     GaConfig,
-    Individual,
+    GaHistory,
     LadderProblem,
     SurrogateProblem,
     evolve_generation,
@@ -71,24 +72,47 @@ def toy_ladder_problem():
     )
 
 
+@dataclass
+class RecordingProblem:
+    """The surrogate, keeping every (genes, J) it scores, in call order."""
+
+    inner: SurrogateProblem
+    scores: list = field(default_factory=list)
+
+    def evaluate(self, params):
+        j = self.inner.evaluate(params)
+        self.scores.append((params.as_array(), j))
+        return j
+
+
+def _score(problem, genes) -> np.ndarray:
+    return np.array([problem.evaluate(ChirpedPulseParams.from_array(g)) for g in genes])
+
+
 class TestInitPopulation:
     def test_genes_always_inside_ranges(self):
-        pop = init_population(RANGES, 2000, np.random.default_rng(3))
+        genes = init_population(RANGES, 2000, np.random.default_rng(3))
         los, his = RANGES.as_arrays()
-        genes = np.array([ind.params.as_array() for ind in pop])
         assert genes.shape == (2000, 5)
         assert np.all(genes >= los) and np.all(genes <= his)
 
     def test_same_seed_is_bit_identical(self):
         a = init_population(RANGES, 50, np.random.default_rng(11))
         b = init_population(RANGES, 50, np.random.default_rng(11))
-        assert all(
-            np.array_equal(x.params.as_array(), y.params.as_array())
-            for x, y in zip(a, b)
-        )
+        assert a.tobytes() == b.tobytes()
 
-    def test_unset_fitness(self):
-        assert all(ind.fitness is None for ind in init_population(RANGES, 5, np.random.default_rng(0)))
+    def test_unset_fitness(self, surrogate):
+        # NaN marks a row still to be scored; only those rows are scored
+        genes = init_population(RANGES, 5, np.random.default_rng(0))
+        fitness = np.full(5, np.nan)
+        fitness[2] = 0.5
+        history = GaHistory()
+        ga._evaluate_population(genes, fitness, partial(map, partial(ga._safe_evaluate, surrogate)),
+                                history)
+        assert history.evaluations == 4
+        expected = _score(surrogate, genes)
+        expected[2] = 0.5
+        assert fitness.tolist() == expected.tolist()
 
 
 class TestEvaluateFitness:
@@ -99,24 +123,18 @@ class TestEvaluateFitness:
             spectrum=toy_ladder_problem.spectrum, initial_level=1, target_level=1,
             dt=0.25,
         )
-        ind = Individual(params=ChirpedPulseParams(
-            eps0=1e-12, omega0=0.08, tau0=200.0, tau=50.0, chirp=1e-9
-        ))
-        j = prob.evaluate(ind.params)
+        params = ChirpedPulseParams(eps0=1e-12, omega0=0.08, tau0=200.0, tau=50.0, chirp=1e-9)
+        j = prob.evaluate(params)
         assert abs(j - 1.0) < 1e-8
 
     def test_orthogonal_target_scores_zero(self, toy_ladder_problem):
-        ind = Individual(params=ChirpedPulseParams(
-            eps0=1e-12, omega0=0.08, tau0=200.0, tau=50.0, chirp=1e-9
-        ))
-        assert toy_ladder_problem.evaluate(ind.params) < 1e-10
+        params = ChirpedPulseParams(eps0=1e-12, omega0=0.08, tau0=200.0, tau=50.0, chirp=1e-9)
+        assert toy_ladder_problem.evaluate(params) < 1e-10
 
     def test_reevaluation_is_invariant(self, toy_ladder_problem):
-        ind = Individual(params=ChirpedPulseParams(
-            eps0=0.004, omega0=0.08, tau0=300.0, tau=100.0, chirp=1e-8
-        ))
-        j1 = toy_ladder_problem.evaluate(ind.params)
-        j2 = toy_ladder_problem.evaluate(ind.params)
+        params = ChirpedPulseParams(eps0=0.004, omega0=0.08, tau0=300.0, tau=100.0, chirp=1e-8)
+        j1 = toy_ladder_problem.evaluate(params)
+        j2 = toy_ladder_problem.evaluate(params)
         assert abs(j1 - j2) < 1e-12
 
     def test_dropped_stepper_is_rebuilt_to_the_same_score(self, toy_ladder_problem):
@@ -141,69 +159,79 @@ class TestRoulette:
 
 class TestEvolveGeneration:
     def _evaluated_population(self, surrogate, n=20, seed=5):
-        pop = init_population(RANGES, n, np.random.default_rng(seed))
-        for ind in pop:
-            ind.fitness = surrogate.evaluate(ind.params)
-        return pop
+        genes = init_population(RANGES, n, np.random.default_rng(seed))
+        return genes, _score(surrogate, genes)
 
     def test_requires_evaluated_population(self, surrogate):
-        pop = init_population(RANGES, 10, np.random.default_rng(0))
+        genes = init_population(RANGES, 10, np.random.default_rng(0))
         cfg = GaConfig(ranges=RANGES, population=10, elites=2)
         with pytest.raises(ValueError):
-            evolve_generation(pop, cfg, np.random.default_rng(0))
+            evolve_generation(genes, np.full(10, np.nan), cfg, np.random.default_rng(0))
 
     def test_population_size_preserved(self, surrogate):
-        pop = self._evaluated_population(surrogate)
+        genes, fitness = self._evaluated_population(surrogate)
         cfg = GaConfig(ranges=RANGES, population=20, elites=3)
-        child = evolve_generation(pop, cfg, np.random.default_rng(7))
-        assert len(child) == 20
+        child, child_fitness = evolve_generation(genes, fitness, cfg, np.random.default_rng(7))
+        assert child.shape == (20, 5)
+        assert child_fitness.shape == (20,)
 
     def test_elite_carried_unchanged_with_fitness(self, surrogate):
-        pop = self._evaluated_population(surrogate)
+        genes, fitness = self._evaluated_population(surrogate)
         cfg = GaConfig(ranges=RANGES, population=20, elites=3)
-        best = max(pop, key=lambda ind: ind.fitness)
-        child = evolve_generation(pop, cfg, np.random.default_rng(7))
+        best = int(np.argmax(fitness))
+        child, child_fitness = evolve_generation(genes, fitness, cfg, np.random.default_rng(7))
         carried = [
-            ind for ind in child
-            if ind.fitness is not None
-            and np.array_equal(ind.params.as_array(), best.params.as_array())
+            j for g, j in zip(child, child_fitness)
+            if not np.isnan(j) and np.array_equal(g, genes[best])
         ]
-        assert carried and carried[0].fitness == best.fitness
+        assert carried and carried[0] == fitness[best]
 
     def test_below_mean_individuals_eliminated(self, surrogate):
-        pop = self._evaluated_population(surrogate)
-        scores = np.array([ind.fitness for ind in pop])
+        genes, scores = self._evaluated_population(surrogate)
         mean = scores.mean()
         cfg = GaConfig(ranges=RANGES, population=20, elites=3)
-        child = evolve_generation(pop, cfg, np.random.default_rng(7))
+        child, child_fitness = evolve_generation(genes, scores, cfg, np.random.default_rng(7))
         # survivors are exactly the above-mean parents; they occupy the head
         n_survivors = int(np.sum(scores >= mean))
-        head = child[:n_survivors]
-        surviving_params = {tuple(ind.params.as_array()) for ind in pop
-                            if ind.fitness >= mean}
-        for ind in head:
-            if ind.fitness is not None:  # elites are byte-identical parents
-                assert tuple(ind.params.as_array()) in surviving_params
+        surviving_params = {tuple(g) for g, j in zip(genes, scores) if j >= mean}
+        for g, j in zip(child[:n_survivors], child_fitness[:n_survivors]):
+            if not np.isnan(j):  # elites are byte-identical parents
+                assert tuple(g) in surviving_params
 
     def test_children_respect_gene_clipping(self, surrogate):
-        pop = self._evaluated_population(surrogate)
+        genes, fitness = self._evaluated_population(surrogate)
         cfg = GaConfig(ranges=RANGES, population=20, elites=3)
-        child = evolve_generation(pop, cfg, np.random.default_rng(7))
+        child, _ = evolve_generation(genes, fitness, cfg, np.random.default_rng(7))
         los, his = RANGES.as_arrays()
-        genes = np.array([ind.params.as_array() for ind in child])
-        assert np.all(genes >= los) and np.all(genes <= his)
+        assert np.all(child >= los) and np.all(child <= his)
 
     def test_all_zero_fitness_falls_back_to_uniform(self):
-        pop = init_population(RANGES, 12, np.random.default_rng(1))
-        for ind in pop:
-            ind.fitness = FlatProblem(0.0).evaluate(ind.params)
+        genes = init_population(RANGES, 12, np.random.default_rng(1))
+        fitness = _score(FlatProblem(0.0), genes)
         cfg = GaConfig(ranges=RANGES, population=12, elites=2)
-        from ladderdown.ga import GaHistory
-
         history = GaHistory()
-        child = evolve_generation(pop, cfg, np.random.default_rng(3), history)
+        child, _ = evolve_generation(genes, fitness, cfg, np.random.default_rng(3), history)
         assert len(child) == 12
         assert history.uniform_fallbacks == 1
+
+    def test_inputs_are_left_as_they_are(self, surrogate):
+        genes, fitness = self._evaluated_population(surrogate)
+        before = genes.tobytes(), fitness.tobytes()
+        cfg = GaConfig(ranges=RANGES, population=20, elites=3, mutation_prob=1.0)
+        child, child_fitness = evolve_generation(genes, fitness, cfg, np.random.default_rng(7))
+        assert (genes.tobytes(), fitness.tobytes()) == before
+        for new in (child, child_fitness):
+            for old in (genes, fitness):
+                assert not np.shares_memory(new, old)
+
+    def test_equal_nonzero_scores_keep_every_row(self):
+        # three scores of 0.1 average to 0.10000000000000002, above each of them
+        assert np.mean([0.1, 0.1, 0.1]) > 0.1
+        cfg = GaConfig(ranges=RANGES, population=3, generations=2, elites=1)
+        best, history = optimize(cfg, FlatProblem(0.1))
+        assert history.evaluations == 5
+        assert history.best_fitness == [0.1, 0.1]
+        assert history.uniform_fallbacks == 0
 
 
 class TestOptimize:
@@ -211,9 +239,10 @@ class TestOptimize:
         cfg = GaConfig(ranges=RANGES, population=15, generations=1,
                        elites=2, seed=9)
         best, history = optimize(cfg, surrogate)
-        pop = init_population(RANGES, 15, np.random.default_rng(9))
-        scores = [surrogate.evaluate(ind.params) for ind in pop]
-        assert best.fitness == max(scores)
+        genes = init_population(RANGES, 15, np.random.default_rng(9))
+        scores = _score(surrogate, genes)
+        assert history.best_fitness[-1] == max(scores)
+        assert best == ChirpedPulseParams.from_array(genes[np.argmax(scores)])
         assert history.evaluations == 15
         assert len(history.best_fitness) == 1
 
@@ -229,8 +258,18 @@ class TestOptimize:
         for seed in range(10):
             cfg = GaConfig(ranges=RANGES, population=40, generations=50,
                            elites=5, seed=seed)
-            best, _ = optimize(cfg, surrogate)
-            assert best.fitness >= 0.99  # the surrogate peaks at 1
+            _, history = optimize(cfg, surrogate)
+            assert history.best_fitness[-1] >= 0.99  # the surrogate peaks at 1
+
+    def test_returns_the_best_of_every_score(self, surrogate):
+        for seed in range(5):
+            problem = RecordingProblem(surrogate)
+            cfg = GaConfig(ranges=RANGES, population=12, generations=8, elites=2, seed=seed)
+            best, history = optimize(cfg, problem)
+            assert len(problem.scores) == history.evaluations
+            first_max = max(problem.scores, key=lambda s: s[1])  # max keeps the first
+            assert history.best_fitness[-1] == first_max[1]
+            assert best.as_array().tobytes() == first_max[0].tobytes()
 
     def test_rerun_is_byte_identical(self, surrogate):
         cfg = GaConfig(ranges=RANGES, population=20, generations=6,
@@ -280,8 +319,8 @@ class TestOptimize:
     def test_blowups_never_abort_the_run(self):
         cfg = GaConfig(ranges=RANGES, population=10, generations=3,
                        elites=2, seed=2)
-        best, history = optimize(cfg, BlowupProblem())
-        assert best.fitness == 0.0
+        _, history = optimize(cfg, BlowupProblem())
+        assert history.best_fitness[-1] == 0.0
         assert history.failures == history.evaluations
         assert len(history.best_fitness) == 3
 
