@@ -22,11 +22,11 @@ class CurveError(Exception):
 
 
 class CurveParseError(CurveError):
-    """A tabulated-curve file contains a token that is not a number."""
+    """A tabulated-curve file contains a token that is not a finite number."""
 
     def __init__(self, path, line_no: int, token: str):
         self.line_no = line_no
-        super().__init__(f"{path}:{line_no}: cannot parse {token!r} as a number")
+        super().__init__(f"{path}:{line_no}: cannot parse {token!r} as a finite number")
 
 
 class CurveFormatError(CurveError):
@@ -150,6 +150,8 @@ def load_tabulated(path) -> TabulatedCurve:
                     row.append(float(tok))
                 except ValueError:
                     raise CurveParseError(path, line_no, tok) from None
+                if not math.isfinite(row[-1]):  # the spline needs finite samples
+                    raise CurveParseError(path, line_no, tok)
             rs.append(row[0])
             vs.append(row[1])
     if len(rs) < 4:

@@ -17,24 +17,26 @@ the largest local momentum below the threshold, k_max = sqrt(2 mu (threshold
 
 * Lift. A sinc-DVR grid resolves a level once its spacing is below pi / k_max,
   and its error then falls exponentially (Colbert & Miller, J. Chem. Phys. 96,
-  1982 (1992)). The levels are solved on the grid's interval at the spacing
-  pi / (2 k_max), a margin of 2, sinc-interpolated onto the grid with one
-  sine per grid point (``_sinc_interpolate``), and refined by one
-  Rayleigh-Ritz step, L^T H L w = E L^T L w on the lifted block L, with the
-  grid's H applied without forming it (T is Toeplitz, V diagonal). This runs
-  when the solve grid has at most a quarter of the grid's points. On the
-  5600-point production grid and threshold 0 it solves 927 points in ~0.09 s
-  instead of ~14 s (2 vCPUs), with energies within 3e-17 hartree of the dense
-  solve and wavefunctions within 2e-13 (in units of dr^-1/2). At a margin of
-  1.5 (696 points) the Ritz residual rose to 8e-9 hartree, so the margin is 2.
+  1982 (1992)). The levels are solved on every m-th grid point, m =
+  floor(pi / (2 k_max dr)) for a margin of at least 2, capped so that 16
+  points remain. Grid point j lies j / m solve spacings from r_min, so their
+  sinc interpolation onto the grid is a symmetric Toeplitz product, applied
+  by FFT (``_toeplitz_times``). One Rayleigh-Ritz step, L^T H L w = E L^T L w
+  on the lifted block L, refines them, with the grid's H applied without
+  forming it (T is Toeplitz, V diagonal). This runs when m >= 4. On the
+  5600-point production grid and threshold 0, m = 6: it solves 934 points in
+  ~0.08 s instead of ~14 s (2 vCPUs), with energies within 3e-17 hartree of
+  the dense solve and wavefunctions within 2e-13 (in units of dr^-1/2). At a
+  margin of 1.5 (696 points) the Ritz residual rose to 8e-9 hartree, so the
+  margin is 2.
 * Dense. The grid's own H is formed and solved by the LAPACK steps of a
   by-value ``dsyevr``, run in place on H's storage: Householder
   tridiagonalization (``dsytrd``), bisection and inverse iteration for the
   levels below the threshold only (``dstebz``/``dstein``), and
   back-transformation of just those vectors (``dormqr`` on the stored
   reflectors). H is consumed as workspace, and no other n x n array is made.
-  This runs for better-sampled grids, such as the 1024-point desk grid (398
-  solve points, over a quarter), and for every lift that is refused.
+  This runs for grids that sample k_max less finely, such as the 1024-point
+  desk grid (m = 2), and for every lift that is refused.
 
 A lift is accepted only if every Ritz value stays below the threshold and
 every Ritz residual ||H psi - E psi|| is at most ``LIFT_RESIDUAL`` = 1e-12
@@ -45,7 +47,7 @@ grid's ends are refused as soon as the solve grid has found them, by the rule
 that no level may lie above V at either end of the grid. Above the
 dissociation limit, as in the GA's basis below ``-E_0``, the levels are box
 states of the grid's interval, and the solve grid's box is not the grid's:
-lifted, the production basis has Ritz residuals of ~4e-3 hartree.
+lifted from 1400 points, the production basis has Ritz residuals of ~3e-5 hartree.
 The residual cannot show a level that the solve grid misses altogether, such
 as one within the solve grid's error of the threshold: that the solve grid
 finds every level rests on its margin over the largest classically allowed
@@ -71,8 +73,6 @@ from .constants import AU_TIME_S, C_AU
 
 # hartree; the largest Ritz residual ||H psi - E psi|| of an accepted lift
 LIFT_RESIDUAL = 1e-12
-# output-grid rows of the sinc interpolation matrix formed at a time
-_LIFT_ROWS = 512
 
 
 class EmptySpectrumError(Exception):
@@ -158,14 +158,13 @@ def _kinetic_column(grid: RadialGrid) -> np.ndarray:
     return coeff * col
 
 
-def _kinetic_times(grid: RadialGrid, x: np.ndarray) -> np.ndarray:
-    """T @ x without forming T.
+def _toeplitz_times(col: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """S @ x for the symmetric Toeplitz S with first column ``col``, S not formed.
 
-    T is the top-left n x n block of a circulant whose first column holds T's
-    first column, zeros, and that column reversed; the circulant is applied by
-    real FFTs of a fast length of at least 2n - 1.
+    S is the top-left n x n block of a circulant whose first column holds
+    ``col``, zeros, and ``col`` reversed; the circulant is applied by real FFTs
+    of a fast length of at least 2n - 1.
     """
-    col = _kinetic_column(grid)
     n = len(col)
     m = sfft.next_fast_len(2 * n - 1, real=True)
     circulant = np.zeros(m)
@@ -239,10 +238,11 @@ def _one_numpy_blas_thread():
 def solve_bound_states(grid: RadialGrid, potential, threshold: float = 0.0) -> VibrationalSpectrum:
     """All levels of T + V on ``grid`` below ``threshold``, normalized and sign-fixed.
 
-    With k_max = sqrt(2 mu (threshold - min V)), the levels are solved on the
-    grid's interval at the spacing pi / (2 k_max) and lifted to ``grid`` when
-    that takes at most a quarter of its points; otherwise, or when the lift is
-    refused, ``grid``'s own H is solved in place (see the module docstring).
+    With k_max = sqrt(2 mu (threshold - min V)), the levels are solved on every
+    m-th point of ``grid``, m = floor(pi / (2 k_max dr)) capped so that 16
+    points remain, and lifted to ``grid`` when m >= 4; otherwise, or when the
+    lift is refused, ``grid``'s own H is solved in place (see the module
+    docstring).
     A lifted energy lies within its Ritz residual, at most ``LIFT_RESIDUAL`` =
     1e-12 hartree, of an eigenvalue of ``grid``'s H. A lift is refused when a
     level solved on the coarse grid lies above V at an end of the grid, when a
@@ -260,32 +260,39 @@ def solve_bound_states(grid: RadialGrid, potential, threshold: float = 0.0) -> V
     if not depth > 0.0:
         raise EmptySpectrumError(f"no eigenvalue below threshold {threshold}, min V = {v.min()}")
     k_max = math.sqrt(2.0 * grid.mu * depth)
-    points = max(16, math.ceil((grid.r_max - grid.r_min) * 2.0 * k_max / math.pi) + 1)
-    if 4 * points <= grid.n_points:
-        lifted = _lift(grid, v, potential, threshold, points)
+    # every stride-th grid point, at most pi / (2 k_max) apart, and at least 16 of them
+    stride = min(math.floor(math.pi / (2.0 * k_max * grid.dr)), (grid.n_points - 1) // 15)
+    if stride >= 4:
+        lifted = _lift(grid, v, potential, threshold, stride)
         if lifted is not None:
             return lifted
     return _solve_in_place(build_hamiltonian(grid, potential), grid, threshold)
 
 
 def _lift(grid: RadialGrid, v: np.ndarray, potential, threshold: float,
-          points: int) -> VibrationalSpectrum | None:
-    """The levels solved on ``points`` points and lifted to ``grid``; None if refused.
+          stride: int) -> VibrationalSpectrum | None:
+    """The levels solved on every ``stride``-th point of ``grid``, lifted to it; None if refused.
 
-    ``v`` is the potential on ``grid``. The levels solved on the coarse grid
-    are sinc-interpolated onto ``grid`` as the block L, and ``grid``'s H =
-    T + diag(V) is applied to L with T as an FFT product. The Ritz pairs solve
+    ``v`` is the potential on ``grid``. Grid point j lies j / stride solve
+    spacings from r_min, so the sinc interpolation onto ``grid`` is the
+    symmetric Toeplitz product of sinc(j / stride) with the levels on every
+    stride-th row and zeros between: the block L. ``grid``'s H = T + diag(V) is
+    applied to L with T as another such product. The Ritz pairs solve
     L^T H L w = E L^T L w, which leaves L @ w orthonormal.
     """
-    coarse = RadialGrid(r_min=grid.r_min, r_max=grid.r_max, n_points=points, mu=grid.mu)
+    points = (grid.n_points - 1) // stride + 1
+    coarse = RadialGrid(r_min=grid.r_min, r_max=grid.r_min + (points - 1) * stride * grid.dr,
+                        n_points=points, mu=grid.mu)
     try:
         solved = _solve_in_place(build_hamiltonian(coarse, potential), coarse, threshold)
     except EmptySpectrumError:
         return None
     if solved.energies[-1] > min(v[0], v[-1]):
         return None  # a level reaches an end of the grid, where the two grids differ
-    lifted = _sinc_interpolate((grid.points - grid.r_min) / coarse.dr, solved.wavefunctions.T)
-    hl = _kinetic_times(grid, lifted) + v[:, None] * lifted
+    stuffed = np.zeros((grid.n_points, solved.bound_count))
+    stuffed[::stride] = solved.wavefunctions.T
+    lifted = _toeplitz_times(np.sinc(np.arange(grid.n_points) / stride), stuffed)
+    hl = _toeplitz_times(_kinetic_column(grid), lifted) + v[:, None] * lifted
     energies, w = sla.eigh(lifted.T @ hl, lifted.T @ lifted)
     vecs = lifted @ w
     residual = float(np.max(np.linalg.norm(hl @ w - vecs * energies, axis=0)))
@@ -294,30 +301,6 @@ def _lift(grid: RadialGrid, v: np.ndarray, potential, threshold: float,
     psi = np.array([_fix_sign(col) for col in vecs.T / np.sqrt(grid.dr)])
     return VibrationalSpectrum(energies=energies, wavefunctions=psi, grid=grid,
                                lift_points=points, lift_residual=residual)
-
-
-def _sinc_interpolate(u: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """sum_i samples[i] sinc(u - i) at each point u, the samples lying on 0, 1, ...
-
-    With u = n + f, n the nearest integer, sinc(u - i) = (-1)^(n + i) sin(pi f) /
-    (pi (u - i)): one sine per point, and per block of ``_LIFT_ROWS`` points one
-    reciprocal and one matmul with the samples signed by (-1)^i. A point with
-    f == 0, as the first grid point always has, copies its sample.
-    """
-    n = np.rint(u)
-    f = u - n
-    scale = np.sin(np.pi * f) / np.pi * (1.0 - 2.0 * (n % 2))
-    i = np.arange(len(samples))
-    signed = samples * (1.0 - 2.0 * (i % 2))[:, None]
-    out = np.empty((len(u), samples.shape[1]))
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows with f == 0, replaced below
-        for a in range(0, len(u), _LIFT_ROWS):
-            rows = slice(a, a + _LIFT_ROWS)
-            kernel = u[rows, None] - i
-            out[rows] = scale[rows, None] * (np.reciprocal(kernel, out=kernel) @ signed)
-    hits = f == 0.0
-    out[hits] = samples[n[hits].astype(int)]
-    return out
 
 
 def _solve_in_place(

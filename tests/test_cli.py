@@ -190,11 +190,11 @@ class TestEigensolve:
     def test_summary_and_manifest_record_the_lift(self, old20_run):
         out, _ = old20_run
         summary = read_summary(out)
-        assert (summary["eigensolve"], summary["eigensolve_points"]) == ("lift", "927")
+        assert (summary["eigensolve"], summary["eigensolve_points"]) == ("lift", "934")
         residual = float(summary["eigensolve_residual"])
         assert 0.0 < residual <= 1e-12
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["eigensolve"] == {"eigensolve": "lift", "eigensolve_points": 927,
+        assert manifest["eigensolve"] == {"eigensolve": "lift", "eigensolve_points": 934,
                                           "eigensolve_residual": residual}
 
     def test_desk_rerun_is_deterministic(self, tmp_path):
@@ -631,6 +631,11 @@ _REJECTED_INPUTS = {
         tp, "[dipole]", f"[dipole]\nfile = {tp / 'nowhere.dat'}"), "[dipole] file "),
     "malformed-potential-table": ("eigensolve", lambda tp: _desk_table(
         tp, "[potential]", ["8 -1e-3", "20 oops", "40 -1e-4", "68 0"]), "[potential] file"),
+    "nan-in-potential-table": ("eigensolve", lambda tp: _desk_table(
+        tp, "[potential]", ["8 -1e-3", "20 nan", "40 -1e-4", "68 0"]),
+        "[potential] file: "),
+    "inf-r-in-dipole-table": ("eigensolve", lambda tp: _desk_table(
+        tp, "[dipole]", ["8 0.1", "20 0.1", "40 0.1", "inf 0.1"]), "[dipole] file: "),
     "short-dipole-table": ("eigensolve", lambda tp: _desk_table(
         tp, "[dipole]", ["8 0.1", "40 0.1", "68 0.1"]), "[dipole] file"),
     "potential-table-short-of-the-grid": ("eigensolve", lambda tp: _desk_table(

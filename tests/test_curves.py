@@ -118,6 +118,17 @@ class TestTabulated:
         assert err.value.line_no == 3
         assert "oops" in str(err.value)
 
+    @pytest.mark.parametrize("rows, line_no, token", [
+        (["1 -1", "2 nan", "3 -3", "4 -4"], 2, "nan"),
+        (["1 -1", "2 -2", "3 -3", "inf -4"], 4, "inf"),
+    ])
+    def test_non_finite_sample_reports_line_number(self, tmp_path, rows, line_no, token):
+        path = self._write(tmp_path, rows)
+        with pytest.raises(CurveParseError) as err:
+            load_tabulated(path)
+        assert err.value.line_no == line_no
+        assert str(err.value).startswith(f"{path}:{line_no}: cannot parse {token!r}")
+
     def test_comments_and_commas_accepted(self, tmp_path):
         path = self._write(
             tmp_path,

@@ -230,7 +230,7 @@ class TestInPlaceSolve:
 
 
 class TestLift:
-    """solve_bound_states lifts when the Nyquist grid has at most a quarter of the points."""
+    """solve_bound_states lifts when every 4th or sparser grid point samples k_max."""
 
     @pytest.fixture(scope="class")
     def production_basis(self, production_grid, standin_potential, production_spectrum):
@@ -247,8 +247,9 @@ class TestLift:
                                        threshold=-production_spectrum.energies[0])
         return basis, calls
 
-    def test_production_levels_are_lifted_from_927_points(self, production_spectrum):
-        assert production_spectrum.lift_points == 927
+    def test_production_levels_are_lifted_from_every_sixth_point(self, production_spectrum):
+        # pi / (2 k_max dr) = 6.05 on the production grid: 5599 // 6 + 1 points
+        assert production_spectrum.lift_points == 934
         assert 0.0 < production_spectrum.lift_residual <= LIFT_RESIDUAL
 
     def test_lift_matches_the_in_place_solve_of_the_full_h(
@@ -265,34 +266,73 @@ class TestLift:
     def test_refused_lift_returns_the_in_place_solve(self, production_basis):
         # box states above the dissociation limit depend on the grid's ends
         basis, calls = production_basis
-        assert [points for points, _ in calls] == [1300, 5600]
+        assert [points for points, _ in calls] == [1400, 5600]
         assert basis is calls[-1][1]
         assert basis.lift_points is None and basis.lift_residual is None
         assert basis.bound_count == 455
 
-    @pytest.mark.parametrize("n_points, exact", [(5600, 2), (5557, 609)])
-    def test_factored_kernel_matches_np_sinc(self, n_points, exact, standin_potential):
-        # 5556 = 6 x 926: 609 points land exactly on a coarse point, 318 within rounding
-        coarse = RadialGrid(r_min=6.0, r_max=146.0, n_points=927, mu=MU_K39RB87)
+    @pytest.mark.parametrize("n_points", [5600, 5557])
+    def test_toeplitz_interpolation_matches_np_sinc(self, n_points, standin_potential):
+        # every 6th point: 5599 = 6 x 933 + 1 leaves a point past the last solve point, 5556 none
+        grid = RadialGrid(r_min=6.0, r_max=146.0, n_points=n_points, mu=MU_K39RB87)
+        r = grid.points
+        coarse = RadialGrid(r_min=6.0, r_max=r[(n_points - 1) // 6 * 6],
+                            n_points=(n_points - 1) // 6 + 1, mu=MU_K39RB87)
         levels = solve_bound_states(coarse, standin_potential).wavefunctions.T
-        r = RadialGrid(r_min=6.0, r_max=146.0, n_points=n_points, mu=MU_K39RB87).points
-        u = (r - coarse.r_min) / coarse.dr
-        assert np.count_nonzero(u == np.rint(u)) == exact
-        got = dvr._sinc_interpolate(u, levels)
+        stuffed = np.zeros((n_points, levels.shape[1]))
+        stuffed[::6] = levels
+        got = dvr._toeplitz_times(np.sinc(np.arange(n_points) / 6), stuffed)
         want = np.sinc((r[:, None] - coarse.points) / coarse.dr) @ levels
         assert np.all(np.isfinite(got)) and np.all(np.isfinite(want))
         assert np.max(np.abs(got - want)) <= 1e-13
 
+    def test_solve_grid_is_every_stride_th_grid_point(self, production_grid, standin_potential,
+                                                        monkeypatch):
+        coarse = []
+
+        def spy(h, grid, threshold=0.0):
+            coarse.append(grid)
+            return _solve_in_place(h, grid, threshold)
+
+        monkeypatch.setattr(dvr, "_solve_in_place", spy)
+        assert solve_bound_states(production_grid, standin_potential).lift_points == 934
+        [grid] = coarse
+        assert (grid.r_min, grid.mu) == (production_grid.r_min, production_grid.mu)
+        assert grid.dr == pytest.approx(6 * production_grid.dr, rel=1e-14)
+        np.testing.assert_allclose(grid.points, production_grid.points[::6], rtol=0, atol=1e-13)
+
+    def test_solve_grid_keeps_16_points(self, monkeypatch):
+        # pi / (2 k_max dr) = 76.9 exceeds 960 // 15 = 64, so the stride is capped at 64.
+        # The Ritz residual from 16 points is 3.5e-9 hartree, and the refused lift falls
+        # back to the dense solve. For a Gaussian level to be small at the grid's ends
+        # and band-limited to the solve spacing, each to ~1e-12, takes ~35 solve points.
+        grid = RadialGrid(r_min=6.0, r_max=146.0, n_points=961, mu=MU_K39RB87)
+        potential = HarmonicPotential(mu=MU_K39RB87, w=1e-7, r0=76.0)
+        calls = []
+
+        def spy(h, grid, threshold=0.0):
+            calls.append(grid.n_points)
+            return _solve_in_place(h, grid, threshold)
+
+        monkeypatch.setattr(dvr, "_solve_in_place", spy)
+        spectrum = solve_bound_states(grid, potential, threshold=2e-7)
+        assert calls == [16, 961]
+        dense = _solve_in_place(build_hamiltonian(grid, potential), grid, 2e-7)
+        assert spectrum.lift_points is None and spectrum.bound_count == 2
+        assert np.max(np.abs(spectrum.energies - dense.energies)) <= 1e-14
+        dpsi = spectrum.wavefunctions - dense.wavefunctions
+        assert np.max(np.abs(dpsi)) * math.sqrt(grid.dr) <= 1e-11
+
     def test_lift_peak_memory_stays_below_a_full_kernel(self, production_grid,
                                                         standin_potential):
-        # 16.1 MiB was the peak with np.sinc blocks and QR; a 5600 x 927 kernel is 41 MB
+        # 16.1 MiB was the peak with np.sinc blocks and QR; a 5600 x 934 kernel is 42 MB
         tracemalloc.start()
         try:
             spectrum = solve_bound_states(production_grid, standin_potential)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert spectrum.lift_points == 927
+        assert spectrum.lift_points == 934
         assert peak < 16 * 2**20
 
     def test_desk_grid_takes_the_dense_path_bitwise(self, desk_grid, standin_potential):
@@ -327,15 +367,15 @@ class TestNumpyBlasThreads:
                                                   monkeypatch):
         seen = []
 
-        def spy(u, samples):
+        def spy(col, x):
             seen.append(_numpy_blas_threads())
-            return interpolate(u, samples)
+            return toeplitz_times(col, x)
 
-        interpolate = dvr._sinc_interpolate
-        monkeypatch.setattr(dvr, "_sinc_interpolate", spy)
+        toeplitz_times = dvr._toeplitz_times
+        monkeypatch.setattr(dvr, "_toeplitz_times", spy)
         spectrum = solve_bound_states(production_grid, standin_potential)
-        assert spectrum.lift_points == 927
-        assert seen == [[1]]
+        assert spectrum.lift_points == 934
+        assert seen == [[1], [1]]
         assert _numpy_blas_threads() == [2]
 
     @pytest.mark.parametrize("case", ["dense", "empty"])
