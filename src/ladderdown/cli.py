@@ -326,15 +326,16 @@ def _read_ini(text: str) -> _Ini:
     return cp
 
 
-def _refuse_unread(cp: _Ini) -> None:
-    """A ConfigError for the first section or key that ``_get`` never asked for."""
+def _refuse_unread(cp: _Ini, where: str = "") -> None:
+    """A ConfigError, its message led by ``where``, for the first section or key
+    that ``_get`` never asked for."""
     for section in cp.sections():
         read = sorted(k for s, k in cp.asked if s == section)
         if not read:
-            raise ConfigError(f"[{section}]: unknown section")
+            raise ConfigError(f"{where}[{section}]: unknown section")
         unread = [k for k in cp.options(section) if k not in read]
         if unread:
-            raise ConfigError(f"[{section}] {unread[0]}: unknown key; this section reads "
+            raise ConfigError(f"{where}[{section}] {unread[0]}: unknown key; this section reads "
                               + ", ".join(read))
 
 
@@ -496,11 +497,14 @@ def _write_record(out: Path, command: str, config: RunConfig, started: float,
 
 
 def _resolve_pulse(config: RunConfig, pulse_file: str | None, command: str) -> ChirpedPulseParams:
-    """The --pulse file's [pulse] if given, else the config's."""
+    """The --pulse file's [pulse] if given, else the config's. The file holds
+    [pulse] and its keys only."""
     if pulse_file:
-        pulse = _parse_pulse(_read_ini(_read_text(pulse_file, "--pulse")))
+        cp = _read_ini(_read_text(pulse_file, "--pulse"))
+        pulse = _parse_pulse(cp)
         if pulse is None:
             raise ConfigError(f"{pulse_file}: no [pulse] section")
+        _refuse_unread(cp, f"--pulse {pulse_file}: ")
         return pulse
     if config.pulse is None:
         raise ConfigError(f"{command} needs a [pulse] section or --pulse file")

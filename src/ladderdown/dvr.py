@@ -346,14 +346,18 @@ def _solve_in_place(
 solve_spectrum = solve_bound_states
 
 
+def dipole_matrix(spectrum: VibrationalSpectrum, dipole) -> np.ndarray:
+    """<v|D|v'> for all pairs of the spectrum's levels by grid quadrature, exactly
+    symmetric, in e*bohr."""
+    grid = spectrum.grid
+    psi = spectrum.wavefunctions
+    elements = grid.dr * (psi * dipole.value(grid.points)) @ psi.T
+    return 0.5 * (elements + elements.T)
+
+
 def sdme_map(spectrum: VibrationalSpectrum, dipole) -> np.ndarray:
     """|<v|D|v'>|^2 for all bound pairs by grid quadrature: symmetric, in (e*bohr)^2."""
-    grid = spectrum.grid
-    d = dipole.value(grid.points)
-    psi = spectrum.wavefunctions
-    elements = grid.dr * (psi * d) @ psi.T
-    elements = 0.5 * (elements + elements.T)  # enforce exact symmetry
-    return elements**2
+    return dipole_matrix(spectrum, dipole) ** 2
 
 
 def lifetime(spectrum: VibrationalSpectrum, sdme: np.ndarray) -> np.ndarray:

@@ -34,11 +34,12 @@ of the exponential, truncated at the smallest order whose remainder stays
 below 2^-60 for the largest |eps a| of a block of steps. Phases above 1/2
 are halved s times, summed and squared back s times (scaling and squaring;
 Moler & Van Loan, SIAM Rev. 45, 3 (2003)). So every factor is exact to
-rounding. On the grid a step forms its factor as one small
-matrix-vector product with powers of a built once. In the eigenbasis one
-matrix product forms the factors of a whole block of steps, so a step
-there costs one elementwise product and one matrix-vector product with
-the merged full step.
+rounding. With the powers of a built once, one matrix product forms the
+factors of a whole block of steps where a has at most 512 entries, as in
+every eigenbasis, and one product forms each step's factor on longer
+grids, so that their buffer stays one row. A step in the eigenbasis then
+costs one elementwise product and one matrix-vector product with the
+merged full step.
 
 ``propagate(state, field, stepper, t_max)`` drives either one: the stepper
 is built once and carries the curves, the absorber and dt, and
@@ -48,7 +49,8 @@ Where no dt is given, ``tolerance_time_step`` chooses it for pulses from
 the population tolerance ``POP_TOL``: Strang's error has only even powers
 of dt, so runs at h and h/2 estimate it, and once halving h is seen to
 quarter the estimate, dt follows from the dt^2 law. Both steppers give the
-stepper of another dt with ``with_dt``, sharing what does not depend on it.
+stepper of another dt with ``with_dt``, sharing what does not depend on it,
+and give themselves at their own dt.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ import numpy as np
 import scipy.fft as sfft
 import scipy.linalg as sla
 
-from .dvr import RadialGrid, VibrationalSpectrum
+from .dvr import RadialGrid, VibrationalSpectrum, dipole_matrix
 from .pulse import ChirpedPulseParams, as_field, duration
 
 
@@ -188,10 +190,9 @@ class _FieldFactor:
     (eps/2^s)^m with the rows (-i a)^m/m! (as interleaved real pairs) built
     once, squared s times. The rows run from the highest power down, so every
     sum adds its small terms first. A non-finite eps gives a non-finite factor.
-    ``steps`` forms one step's factor at a time. ``blocks`` forms all of a
-    block's with one matrix product; the grid stepper keeps to ``steps``,
-    since a block of grid factors would hold 512 x 5600 complex numbers
-    (46 MB) on the production grid.
+    ``blocks`` forms all of a block's factors with one matrix product where a
+    has at most _BLOCK entries, and one step's at a time where it has more,
+    so that its buffer stays one row on the grid.
     """
 
     def __init__(self, a: np.ndarray):
@@ -202,10 +203,13 @@ class _FieldFactor:
         for m in range(1, _ORDER_MAX + 1):
             rows[-1 - m] = rows[-m] * (-1j * a) / m
         self.rows = rows.view(float)
-        self.factor = np.empty(a.size, dtype=complex)
 
-    def _plans(self, field, t0: float, dt: float, n_steps: int):
-        """Yield (first step index, weights, rows, s) for each block of steps."""
+    def blocks(self, field, t0: float, dt: float, n_steps: int):
+        """Yield (first step index, the factors of the next steps as rows); the next
+        yield overwrites them."""
+        size = self.rows.shape[1] // 2
+        per_product = _BLOCK if size <= _BLOCK else 1
+        buf = np.empty((min(per_product, n_steps), size), dtype=complex)
         for start in range(0, n_steps, _BLOCK):
             t_mid = (t0 + start * dt) + dt * (np.arange(min(_BLOCK, n_steps - start)) + 0.5)
             eps_mid = (np.zeros(t_mid.size) if field is None
@@ -218,28 +222,31 @@ class _FieldFactor:
                 # every power of a non-finite eps but the zeroth is non-finite
                 s, order = 0, _ORDER_MAX
             weights = (eps_mid[:, None] / 2**s) ** np.arange(order, -1, -1)
-            yield start, weights, self.rows[_ORDER_MAX - order:], s
-
-    def steps(self, field, t0: float, dt: float, n_steps: int):
-        """Yield (step index, exp(-i eps(tmid) a)); the next step overwrites the factor."""
-        factor = self.factor
-        for start, weights, rows, s in self._plans(field, t0, dt, n_steps):
-            for k, w in enumerate(weights, start):
-                np.matmul(w, rows, out=factor.view(float))
+            rows = self.rows[_ORDER_MAX - order:]
+            for i in range(0, len(weights), per_product):
+                w = weights[i:i + per_product]
+                factors = buf[:len(w)]
+                np.matmul(w, rows, out=factors.view(float))
                 for _ in range(s):
-                    np.multiply(factor, factor, out=factor)
-                yield k, factor
-
-    def blocks(self, field, t0: float, dt: float, n_steps: int):
-        """Yield (first step index, the block's factors as rows), one product per block."""
-        for start, weights, rows, s in self._plans(field, t0, dt, n_steps):
-            factors = (weights @ rows).view(complex)
-            for _ in range(s):
-                np.multiply(factors, factors, out=factors)
-            yield start, factors
+                    np.multiply(factors, factors, out=factors)
+                yield start + i, factors
 
 
-class SplitStepper:
+class _Stepper:
+    """The steppers' shared ``with_dt``; each sets dt and all that depends on it in
+    ``_set_dt``."""
+
+    def with_dt(self, dt: float):
+        """The stepper for ``dt`` on the same grid, curves and absorber: this one
+        at its own dt, else a copy that shares all but what depends on dt."""
+        if dt == self.dt:
+            return self
+        other = copy.copy(self)
+        other._set_dt(dt)
+        return other
+
+
+class SplitStepper(_Stepper):
     """Precomputed split-operator factors for one (grid, curves, cap, dt).
 
     A step multiplies psi by the static factor exp(-i (V + V_cap) dt), formed
@@ -247,8 +254,7 @@ class SplitStepper:
     a truncated Taylor series in eps (see ``_FieldFactor``), whose remainder
     is below 2^-60 and whose large phases are scaled and squared, so it
     equals the exponential to rounding at the cost of one small
-    matrix-vector product instead of a complex exp per grid point.
-    ``with_dt`` gives the stepper of another dt on the same curves.
+    matrix-vector product per step instead of a complex exp per grid point.
     """
 
     def __init__(self, grid: RadialGrid, potential, dipole, cap: CapSpec | None, dt: float):
@@ -262,7 +268,7 @@ class SplitStepper:
         if cap is not None:
             w_static = w_static + cap_value(cap, r)
         self._w_static = w_static
-        self._dipole = dipole.value(r) if dipole is not None else None
+        self._dipole = dipole.value(r) if dipole is not None else np.zeros(grid.n_points)
         self._set_dt(dt)
 
     def _set_dt(self, dt: float):
@@ -271,30 +277,25 @@ class SplitStepper:
         self.kin_half = np.exp(self._kin_phase * (dt / 2.0))
         self.kin_full = self.kin_half * self.kin_half
         self.pot_factor = np.exp(-1j * self._w_static * dt)
-        self.field_factor = _FieldFactor(
-            dt * self._dipole if self._dipole is not None else np.zeros(self.grid.n_points)
-        )
-
-    def with_dt(self, dt: float) -> "SplitStepper":
-        """The stepper for ``dt`` on the same grid, curves and absorber."""
-        other = copy.copy(self)
-        other._set_dt(dt)
-        return other
+        self.field_factor = _FieldFactor(dt * self._dipole)
 
     def run(self, psi: np.ndarray, t0: float, n_steps: int, field) -> np.ndarray:
         """Apply n_steps Strang steps starting at t0, merging inner kinetics."""
         if n_steps < 1:
             return psi
         psi = sfft.ifft(self.kin_half * sfft.fft(psi))
-        for k, factor in self.field_factor.steps(field, t0, self.dt, n_steps):
-            psi *= factor
-            psi *= self.pot_factor
-            kin = self.kin_half if k == n_steps - 1 else self.kin_full
-            psi = sfft.ifft(kin * sfft.fft(psi, overwrite_x=True), overwrite_x=True)
-        return psi
+        for start, factors in self.field_factor.blocks(field, t0, self.dt, n_steps):
+            # every step but the run's last ends with the merged full kinetic step
+            for f in factors[:n_steps - 1 - start]:
+                psi *= f
+                psi *= self.pot_factor
+                psi = sfft.ifft(self.kin_full * sfft.fft(psi, overwrite_x=True), overwrite_x=True)
+        psi *= factors[-1]
+        psi *= self.pot_factor
+        return sfft.ifft(self.kin_half * sfft.fft(psi, overwrite_x=True), overwrite_x=True)
 
 
-class EigenStepper:
+class EigenStepper(_Stepper):
     """Strang steps in the eigenbasis of H0 below a cutoff, absorber included.
 
     ``basis`` holds the K real eigenstates of H0 = T + V below the cutoff
@@ -336,10 +337,9 @@ class EigenStepper:
         if cap is not None:
             out = slice(np.searchsorted(r, cap.r0, side="right"), None)  # r > r0, as a view
             h += 1j * grid.dr * (phi[:, out] * cap_value(cap, r[out]).imag) @ phi[:, out].T
-        d = grid.dr * (phi * dipole.value(r)) @ phi.T
         # divide and conquer (evd) keeps U orthogonal to rounding; the 1e-13
         # error of the default MRRR (evr) would raise the norm at every step
-        self._lam, self._u = sla.eigh(0.5 * (d + d.T), driver="evd")
+        self._lam, self._u = sla.eigh(dipole_matrix(basis, dipole), driver="evd")
         self._h = h
         # everything is kept in U's frame: the basis rows U^T Phi here, the
         # half step U^T exp(-i H dt/2) U and the merged full step in _set_dt
@@ -352,13 +352,6 @@ class EigenStepper:
         self.field_factor = _FieldFactor(dt * self._lam)
         self.half = self._u.T @ sla.expm(-0.5j * dt * self._h) @ self._u
         self.full = self.half @ self.half
-
-    def with_dt(self, dt: float) -> "EigenStepper":
-        """The stepper for ``dt``; it shares this one's basis rows U^T Phi, D's
-        eigenvectors and H, and builds only the half step and the phases."""
-        other = copy.copy(self)
-        other._set_dt(dt)
-        return other
 
     def run(self, psi: np.ndarray, t0: float, n_steps: int, field) -> np.ndarray:
         """Apply n_steps Strang steps starting at t0, merging inner half steps."""
@@ -381,7 +374,7 @@ class EigenStepper:
 def propagate(
     state: WavefunctionState,
     field,
-    stepper: SplitStepper | EigenStepper,
+    stepper: _Stepper,
     t_max: float,
     sample_stride: int = 1,
     spectrum: VibrationalSpectrum | None = None,
@@ -389,12 +382,13 @@ def propagate(
     """Propagate with ``stepper`` until t >= t_max, sampling observables.
 
     The stepper carries the curves, the absorber and dt; it must be built on
-    the state's grid with dt > 0. ``field`` may be a callable eps(t), which
-    may return one value for an array of times, a ChirpedPulseParams, or
-    None for field-free steps. Observables are
-    recorded at the start, every ``sample_stride`` steps, and at the final
-    step. With ``spectrum``, every sample holds the population of each of its
-    bound levels. Raises PropagationBlowupError if the norm goes non-finite.
+    the state's grid with dt > 0, and t_max must lie after the state's t.
+    ``field`` may be a callable eps(t), which may return one value for an
+    array of times, a ChirpedPulseParams, or None for field-free steps.
+    Observables are recorded at the start, every ``sample_stride`` steps, and
+    at the final step. With ``spectrum``, every sample holds the population
+    of each of its bound levels. Raises PropagationBlowupError if the norm
+    goes non-finite.
     """
     dt = stepper.dt
     if dt <= 0:
@@ -403,10 +397,12 @@ def propagate(
         raise ValueError(f"stepper grid {stepper.grid} differs from the state's {state.grid}")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
+    if not t_max > state.t:
+        raise ValueError(f"t_max {t_max} must lie after the state's time {state.t}")
     if isinstance(field, ChirpedPulseParams):
         field = as_field(field)
     # relative slack: dt = span/n must give n steps, however large n
-    n_steps = max(1, math.ceil((t_max - state.t) / dt * (1.0 - 1e-12)))
+    n_steps = math.ceil((t_max - state.t) / dt * (1.0 - 1e-12))
 
     times, fields_out, pops, norms = [], [], [], []
 
@@ -482,7 +478,7 @@ class TimeStepChoice:
 
 
 def tolerance_time_step(
-    stepper: SplitStepper | EigenStepper,
+    stepper: _Stepper,
     psi0: np.ndarray,
     spectrum: VibrationalSpectrum,
     pulses: list[ChirpedPulseParams],
@@ -506,8 +502,9 @@ def tolerance_time_step(
     estimate is at most POP_TOL/2, where the /3 estimate over-states a dt^4
     error ~5 times.
 
-    The pulses of one horizon share each trial stepper ``stepper.with_dt(h)``;
-    the given stepper's own dt plays no part. The smallest dt over the
+    The pulses of one horizon share each trial stepper ``stepper.with_dt(h)``,
+    which is the given stepper itself at its own dt: built at a horizon, it
+    serves as that horizon's first trial. The smallest dt over the
     horizons wins, the first horizon in the order of ``pulses`` on a tie.
     Raises TimeStepError if the estimate falls below POP_TOL * 1e-4 in
     neither regime, or a trial run would pass 2^20 steps, before it shows the

@@ -24,7 +24,8 @@ from ladderdown.cli import (
 from ladderdown.constants import AU_ANGFREQ_RAD_PER_S
 from ladderdown.dvr import lifetime, sdme_map, solve_bound_states
 from ladderdown.ga import GaConfig, LadderProblem, init_population
-from ladderdown.propagator import POP_TOL, SplitStepper, WavefunctionState, propagate
+from ladderdown.propagator import (POP_TOL, EigenStepper, SplitStepper, WavefunctionState,
+                                   propagate)
 from ladderdown.pulse import ChirpedPulseParams, duration
 from oracles import morse_bound_count, morse_energies
 
@@ -458,6 +459,14 @@ class TestPulseSpectrum:
         nu_peak = fft_data[np.argmax(fft_data[:, 2]), 0]
         assert abs(nu_peak - config.pulse.omega0) / config.pulse.omega0 < 0.02
 
+    def test_an_unknown_pulse_key_names_the_pulse_file(self, tmp_path, capsys):
+        pulse = _write(tmp_path / "typo.cfg", DESK_PULSE.read_text() + "chrip = 5e-11\n")
+        assert main(["pulse-spectrum", "--preset", "desk", "--pulse", str(pulse),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --pulse {pulse}: [pulse] chrip: unknown key; this section reads "
+            "chirp, eps0, omega0, tau, tau0\n")
+
     def test_empty_range_rejected(self, tmp_path):
         config = load_config(None, "old20")
         with pytest.raises(ConfigError, match="empty"):
@@ -657,6 +666,19 @@ _REJECTED_INPUTS = {
         tp, "d0 = 0.5\nrd = 28.0\np = 2.0",
         f"model = ramp\nfile = {_write(tp / 'd.dat', FLAT_DIPOLE)}"),
         "[dipole] model: unknown key"),
+    "misspelled-pulse-key": ("propagate", lambda tp: ["--preset", "desk", "--pulse", str(
+        _write(tp / "typo.cfg", DESK_PULSE.read_text() + "chrip = 5e-11\n"))],
+        "typo.cfg: [pulse] chrip: unknown key; this section reads chirp, eps0, omega0, tau, "),
+    "extra-pulse-section": ("propagate", lambda tp: ["--preset", "desk", "--pulse", str(
+        _write(tp / "extra.cfg", DESK_PULSE.read_text() + "[extra]\nchirp = 1\n"))],
+        "extra.cfg: [extra]: unknown section"),
+    "misspelled-spectrum-pulse-key": ("pulse-spectrum", lambda tp: ["--preset", "desk",
+        "--pulse", str(_write(tp / "typo.cfg", DESK_PULSE.read_text() + "chrip = 5e-11\n"))],
+        "typo.cfg: [pulse] chrip: unknown key"),
+    "extra-spectrum-pulse-section": ("pulse-spectrum", lambda tp: ["--preset", "desk",
+        "--pulse", str(_write(tp / "extra.cfg", "[extra]\nchirp = 1\n"
+                              + DESK_PULSE.read_text()))],
+        "extra.cfg: [extra]: unknown section"),
     # under a field of 1e-30 the eigenbasis steps of the corner search are
     # exact: the population error estimate is rounding from the first halving
     "dt-without-a-dt2-regime": ("optimize", lambda tp: ["--config", str(_unpinned_desk(
@@ -676,6 +698,14 @@ def test_rejected_input_is_one_error_line_and_no_output(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert expected in err
     assert not (tmp_path / "o").exists()
+
+
+def _record_set_dt(monkeypatch, stepper_class) -> list:
+    """The dt of every ``_set_dt`` call on ``stepper_class``, in call order."""
+    built, set_dt = [], stepper_class._set_dt
+    monkeypatch.setattr(stepper_class, "_set_dt",
+                        lambda self, dt: (built.append(dt), set_dt(self, dt)))
+    return built
 
 
 def _unpinned_desk(tmp_path, **ga):
@@ -719,12 +749,16 @@ class TestTimeStep:
             assert (out / name).read_bytes() == stored.read_bytes()
         assert "dt_source" not in read_summary(out)
 
-    def test_unpinned_propagate_chooses_dt_from_the_tolerance(self, tmp_path):
+    def test_unpinned_propagate_chooses_dt_from_the_tolerance(self, tmp_path, monkeypatch):
+        built = _record_set_dt(monkeypatch, SplitStepper)
         out = tmp_path / "o"
         assert main(["propagate", "--config", str(_unpinned_desk(tmp_path)),
                      "--pulse", str(DESK_PULSE), "--out", str(out)]) == 0
         summary = read_summary(out)
         assert summary["dt_source"] == "tolerance"
+        # the stepper built at the horizon runs the search's one-step trial itself
+        trials = int(summary["dt_search_steps"]).bit_length()  # n = 1, 2, 4, ...
+        assert built == [4e4 / 2**k for k in range(trials)] + [float(summary["dt_au"])]
         assert float(summary["dt_tol"]) == 1e-6
         assert 0 < float(summary["dt_error_estimate"]) <= 5e-7 * (1 + 1e-12)
         dt, steps = float(summary["dt_au"]), int(summary["steps"])
@@ -752,12 +786,18 @@ class TestTimeStep:
         p = [k for k, name in enumerate(header) if name.startswith("p_")]
         assert np.max(np.abs(got[-1, p] - ref[-1, p])) <= POP_TOL
 
-    def test_unpinned_optimize_holds_interior_pulses_within_1e5(self, tmp_path):
+    def test_unpinned_optimize_holds_interior_pulses_within_1e5(self, tmp_path, monkeypatch):
         config = load_config(str(_unpinned_desk(tmp_path, population=3, generations=2,
                                                 elites=1)), None)
+        built = _record_set_dt(monkeypatch, EigenStepper)
         result = cmd_optimize(config, str(tmp_path / "o"))
         summary = read_summary(tmp_path / "o")
         assert summary["dt_source"] == "tolerance"
+        # the frame built at the longest corner horizon, the upper corner's, is that
+        # horizon's first trial
+        longest = duration(ChirpedPulseParams.from_array(result["ranges"].as_arrays()[1]))
+        assert built[0] == longest and built.count(longest) == 1
+        assert built[-1] == float(summary["dt_au"])
         corner = [float(x) for x in summary["dt_worst_corner"].split(", ")]
         los, his = result["ranges"].as_arrays()
         assert all(g in (lo, hi) for g, lo, hi in zip(corner, los, his))

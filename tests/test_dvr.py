@@ -17,6 +17,7 @@ from ladderdown.dvr import (
     _fix_sign,
     _solve_in_place,
     build_hamiltonian,
+    dipole_matrix,
     lifetime,
     sdme_map,
     solve_bound_states,
@@ -425,6 +426,9 @@ class TestSdme:
         sd = sdme_map(desk_spectrum, standin_dipole)
         assert np.array_equal(sd, sd.T)
         assert np.all(sd >= 0.0)
+        d = dipole_matrix(desk_spectrum, standin_dipole)
+        assert np.array_equal(d, d.T)
+        assert np.array_equal(d**2, sd)
 
     def test_constant_dipole_is_diagonal(self, harmonic_setup):
         _, _, spectrum = harmonic_setup

@@ -134,25 +134,27 @@ class TestStepperRun:
 THETAS = [0.0, 1e-3, 0.1, 0.49, 0.5, 0.51, 1.0, 3.0, 7.5, 20.0]
 
 
+# phase vectors of these lengths take one product per step and one per block of steps
+ROW_PHASES, BLOCK_PHASES = 2001, propagator._BLOCK
+
+
 class TestFieldFactor:
     @staticmethod
-    def factors(a, eps, stacked):
+    def factors(a, eps):
         """Every step's factor under the field eps[k] at step k, as rows."""
         field = lambda t: eps[np.floor(np.asarray(t)).astype(int)]
-        factor = _FieldFactor(a)
-        if stacked:
-            return np.concatenate([f for _, f in factor.blocks(field, 0.0, 1.0, eps.size)])
-        return np.array([f.copy() for _, f in factor.steps(field, 0.0, 1.0, eps.size)])
+        blocks = _FieldFactor(a).blocks(field, 0.0, 1.0, eps.size)
+        return np.concatenate([f.copy() for _, f in blocks])
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])  # -1: the phases of a negative dt
     @pytest.mark.parametrize("theta", THETAS)
     def test_matches_exp(self, theta, sign):
-        rng = np.random.default_rng(7)
-        a = sign * np.append(rng.uniform(-1.0, 1.0, 2000), 1.0)  # max|a| = 1
         eps = theta * np.array([1.0, -0.3, 0.7, -1.0, 0.0])
-        want = np.exp(-1j * eps[:, None] * a)
-        for stacked in (False, True):
-            got = self.factors(a, eps, stacked)
+        for size in (ROW_PHASES, BLOCK_PHASES):
+            rng = np.random.default_rng(7)
+            a = sign * np.append(rng.uniform(-1.0, 1.0, size - 1), 1.0)  # max|a| = 1
+            want = np.exp(-1j * eps[:, None] * a)
+            got = self.factors(a, eps)
             # each squaring doubles the rounding error of the halved phase, so above
             # a few radians the error grows like theta, as exp's does with its argument
             assert np.max(np.abs(got - want)) <= 2e-15 * max(1.0, theta / 2.0)
@@ -160,14 +162,28 @@ class TestFieldFactor:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("theta", THETAS)
     def test_stacked_blocks_match_the_rows(self, theta, sign):
-        # 600 steps span two blocks; the last step carries the largest field
+        # 600 steps span two blocks; the last step carries the largest field. The
+        # first BLOCK_PHASES phases, max|a| among them, take one product per step
+        # as part of the longer vector and one product per block on their own
         rng = np.random.default_rng(7)
-        a = sign * np.append(rng.uniform(-1.0, 1.0, 2000), 1.0)
+        a = sign * np.append(1.0, rng.uniform(-1.0, 1.0, ROW_PHASES - 1))
         eps = theta * np.append(rng.uniform(-1.0, 1.0, 599), 1.0)
-        rows, stacked = self.factors(a, eps, False), self.factors(a, eps, True)
+        rows = self.factors(a, eps)[:, :BLOCK_PHASES]
+        stacked = self.factors(a[:BLOCK_PHASES], eps)
         # the matrix product and the per-row one round the unsquared factor about
         # one ulp apart, and each of the s squarings doubles that; 2^s <= 4 theta
         assert np.max(np.abs(stacked - rows)) <= 2e-16 * max(1.0, 4.0 * theta)
+
+    def test_a_one_row_product_rounds_as_the_vector_product(self):
+        # a step's factor on a long grid is the product of its (1, M+1) weights
+        # with the (M+1, 2n) rows; it keeps every bit of the 1-D product
+        rng = np.random.default_rng(7)
+        rows = _FieldFactor(rng.uniform(-1.0, 1.0, ROW_PHASES)).rows
+        for scale in (1e-3, 0.3, 0.5):
+            w = scale ** np.arange(rows.shape[0] - 1, -1, -1.0)
+            one_row = np.empty((1, rows.shape[1]))
+            np.matmul(w[None], rows, out=one_row)
+            assert np.array_equal(one_row[0], w @ rows)
 
     @pytest.mark.parametrize("eigen", [False, True])
     def test_a_scalar_field_steps_as_its_samples(self, harmonic_system, eigen):
@@ -372,6 +388,14 @@ class TestPropagateBookkeeping:
         assert len(rec.times) == math.ceil(100 / 7) + 1
         assert rec.times[0] == 0.0
         assert rec.times[-1] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("t_max", [50.0, 100.0])
+    def test_a_horizon_not_after_the_state_is_refused(self, desk_steppers, desk_spectrum,
+                                                      t_max):
+        state = WavefunctionState(psi=desk_spectrum.wavefunctions[8].astype(complex),
+                                  t=100.0, grid=desk_spectrum.grid)
+        with pytest.raises(ValueError, match=f"t_max {t_max} .* time 100.0"):
+            propagate(state, None, desk_steppers["grid"], t_max)
 
     def test_blowup_raises_with_step_index(self, harmonic_system):
         grid, pot, dip, _ = harmonic_system
@@ -611,6 +635,11 @@ class TestToleranceTimeStep:
         moved = desk_steppers[kind].with_dt(25.0)
         assert np.array_equal(moved.run(psi0, 0.0, 300, field), fresh.run(psi0, 0.0, 300, field))
         assert desk_steppers[kind].dt == 40.0
+
+    @pytest.mark.parametrize("kind", ["grid", "eigen"])
+    def test_with_dt_at_its_own_dt_is_the_stepper(self, desk_steppers, kind):
+        stepper = desk_steppers[kind]
+        assert stepper.with_dt(stepper.dt) is stepper
 
     def test_propagate_makes_n_steps_of_span_over_n(self, harmonic_system):
         # 4e4 / (4e4 / 18283) rounds above 18283 + 1e-12, so an absolute slack would add a step
