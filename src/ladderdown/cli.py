@@ -237,11 +237,19 @@ class RunConfig:
 
 
 class _Ini(configparser.ConfigParser):
-    """A parsed INI text that records each (section, key) ``_get`` asks for."""
+    """A parsed INI text that records each (section, key) ``_get`` asks for. A syntax
+    error is a ConfigError that quotes its line."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, text: str):
+        super().__init__(interpolation=None)  # a '%' in a value is a '%'
         self.asked: set[tuple[str, str]] = set()
+        try:
+            self.read_string(text)
+        except configparser.Error as exc:
+            # a ParsingError lists its bad lines, the other syntax errors carry one
+            lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
+            line = text.split("\n")[lineno - 1].strip()
+            raise ConfigError(f"line {lineno}: {line!r}") from None
 
 
 def _get(cp: _Ini, section, key, cast, default=MISSING):
@@ -293,20 +301,27 @@ _EXPECTED = {int: "an integer", float: "a number", _parse_pair: "a pair of numbe
              _parse_ladder: "a list of integers"}
 
 
-def _read_text(path: str, what: str) -> str:
-    """The text of the --config or --pulse file; an unreadable one is a ConfigError."""
+def _parse_file(flag: str, path: str, parse):
+    """parse(text) of the --config or --pulse file at ``path``. Each ConfigError
+    raised while the file is read or parsed is led by ``flag path: ``, once."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"{what} {path}: {exc.strerror}") from None
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            # strerror, where there is one, leaves out the path named below
+            raise ConfigError(getattr(exc, "strerror", None) or exc) from None
+        return parse(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{flag} {path}: {exc}") from None
 
 
 def _load_curve(section: str, path: str, grid: RadialGrid) -> TabulatedCurve:
     """The [potential] or [dipole] table; it must cover the whole grid."""
     try:
         curve = load_tabulated(path)
-    except OSError as exc:
-        raise ConfigError(f"[{section}] file {path}: {exc.strerror}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        why = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"[{section}] file {path}: {why}") from None
     except CurveError as exc:
         raise ConfigError(f"[{section}] file: {exc}") from None
     if curve.r[0] > grid.r_min or curve.r[-1] < grid.r_max:
@@ -317,34 +332,28 @@ def _load_curve(section: str, path: str, grid: RadialGrid) -> TabulatedCurve:
     return curve
 
 
-def _read_ini(text: str) -> _Ini:
-    cp = _Ini()
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config syntax: {exc}") from None
-    return cp
-
-
-def _refuse_unread(cp: _Ini, where: str = "") -> None:
-    """A ConfigError, its message led by ``where``, for the first section or key
-    that ``_get`` never asked for."""
+def _refuse_unread(cp: _Ini) -> None:
+    """A ConfigError for the first section or key that ``_get`` never asked for."""
     for section in cp.sections():
         read = sorted(k for s, k in cp.asked if s == section)
         if not read:
-            raise ConfigError(f"{where}[{section}]: unknown section")
+            raise ConfigError(f"[{section}]: unknown section")
         unread = [k for k in cp.options(section) if k not in read]
         if unread:
-            raise ConfigError(f"{where}[{section}] {unread[0]}: unknown key; this section reads "
+            raise ConfigError(f"[{section}] {unread[0]}: unknown key; this section reads "
                               + ", ".join(read))
 
 
-def _parse_pulse(cp: _Ini) -> ChirpedPulseParams | None:
-    return _build_fields(cp, "pulse", ChirpedPulseParams) if cp.has_section("pulse") else None
+def _parse_pulse_file(text: str) -> ChirpedPulseParams:
+    """The [pulse] of a --pulse file, which holds [pulse] and its keys only."""
+    cp = _Ini(text)
+    pulse = _build_fields(cp, "pulse", ChirpedPulseParams)
+    _refuse_unread(cp)
+    return pulse
 
 
 def parse_config(text: str) -> RunConfig:
-    cp = _read_ini(text)
+    cp = _Ini(text)
 
     grid = _build(
         "grid", RadialGrid,
@@ -355,15 +364,11 @@ def parse_config(text: str) -> RunConfig:
     )
 
     curves = {}
-    for section, model, cls in (("potential", "morse", MorsePotential),
-                                ("dipole", "ramp", ExpRampDipole)):
+    for section, cls in (("potential", MorsePotential), ("dipole", ExpRampDipole)):
         if cp.has_option(section, "file"):
             curves[section] = _load_curve(section, _get(cp, section, "file", str), grid)
-            continue
-        name = _get(cp, section, "model", str, model).strip().lower()
-        if name != model:
-            raise ConfigError(f"[{section}] model: unknown model {name!r}")
-        curves[section] = _build_fields(cp, section, cls)
+        else:
+            curves[section] = _build_fields(cp, section, cls)
 
     cap = None
     if cp.has_section("cap"):
@@ -410,7 +415,7 @@ def parse_config(text: str) -> RunConfig:
     if sample_stride < 1:
         raise ConfigError(f"[propagation] sample_stride: must be >= 1, got {sample_stride}")
 
-    pulse = _parse_pulse(cp)
+    pulse = _build_fields(cp, "pulse", ChirpedPulseParams) if cp.has_section("pulse") else None
     _refuse_unread(cp)  # after every other check, whose message comes first
     return RunConfig(
         grid=grid,
@@ -436,7 +441,7 @@ def load_config(path: str | None, preset: str | None) -> RunConfig:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
         return parse_config(PRESETS[preset])
-    return parse_config(_read_text(path, "--config"))
+    return _parse_file("--config", path, parse_config)
 
 
 # --- output helpers ---------------------------------------------------------
@@ -497,15 +502,9 @@ def _write_record(out: Path, command: str, config: RunConfig, started: float,
 
 
 def _resolve_pulse(config: RunConfig, pulse_file: str | None, command: str) -> ChirpedPulseParams:
-    """The --pulse file's [pulse] if given, else the config's. The file holds
-    [pulse] and its keys only."""
+    """The --pulse file's [pulse] if given, else the config's."""
     if pulse_file:
-        cp = _read_ini(_read_text(pulse_file, "--pulse"))
-        pulse = _parse_pulse(cp)
-        if pulse is None:
-            raise ConfigError(f"{pulse_file}: no [pulse] section")
-        _refuse_unread(cp, f"--pulse {pulse_file}: ")
-        return pulse
+        return _parse_file("--pulse", pulse_file, _parse_pulse_file)
     if config.pulse is None:
         raise ConfigError(f"{command} needs a [pulse] section or --pulse file")
     return config.pulse

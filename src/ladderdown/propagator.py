@@ -443,9 +443,6 @@ def propagate(
 
 # largest bound-level population error that a dt chosen from the tolerance may have
 POP_TOL = 1.0e-6
-# in the dt^2 regime the error estimate falls by 4 per halving, give or take this
-# (in the dt^4 regime by 16, give or take 4 times this)
-_RATIO_SLACK = 1.0
 # the search gives up when its finest trial run would pass this many steps
 _SEARCH_MAX_STEPS = 2**20
 # ... or when the estimate falls below this fraction of the tolerance, where
@@ -530,7 +527,7 @@ def _horizon_time_step(stepper, psi0, spectrum, pulses, t_end) -> TimeStepChoice
     def falls_by(ratio):
         # the last two halvings each divided the estimate by ratio, give or take a quarter
         e = estimates[-3:]
-        return len(e) == 3 and all(abs(a / b - ratio) <= ratio / 4 * _RATIO_SLACK
+        return len(e) == 3 and all(abs(a / b - ratio) <= ratio / 4
                                    for a, b in zip(e, e[1:]))
 
     prev, estimates, worsts, n = None, [], [], 1

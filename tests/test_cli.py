@@ -260,7 +260,6 @@ reduced_mass = 200.0
 file = {table}
 
 [dipole]
-model = ramp
 d0 = 0.5
 rd = 28.0
 p = 2.0
@@ -313,7 +312,7 @@ class TestPropagate:
         rc = main(["propagate", "--preset", "desk", "--pulse", str(pulse),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: [pulse] ")
+        assert capsys.readouterr().err.startswith(f"error: --pulse {pulse}: [pulse] ")
         assert not (tmp_path / "o").exists()
 
 
@@ -493,7 +492,7 @@ class TestPulseSpectrum:
                    "--out", str(tmp_path / "s")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: [pulse] ") and err.count("\n") == 1
+        assert err.startswith(f"error: --pulse {pulse}: [pulse] ") and err.count("\n") == 1
 
     def test_rejected_pulse_leaves_no_output_directory(self, tmp_path, capsys):
         pulse = tmp_path / "bad_pulse.cfg"
@@ -501,7 +500,7 @@ class TestPulseSpectrum:
         rc = main(["pulse-spectrum", "--preset", "old20", "--pulse", str(pulse),
                    "--out", str(tmp_path / "s")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: [pulse] ")
+        assert capsys.readouterr().err.startswith(f"error: --pulse {pulse}: [pulse] ")
         assert not (tmp_path / "s").exists()
 
     def test_fewer_than_two_points_is_a_one_line_error(self, tmp_path, capsys):
@@ -524,7 +523,7 @@ class TestPulseSpectrum:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: [pulse] ") and err.count("\n") == 1
+        assert err.startswith(f"error: --pulse {pulse}: [pulse] ") and err.count("\n") == 1
 
     def test_non_finite_cap_strength_is_a_one_line_error(self, tmp_path, capsys):
         config = tmp_path / "bad_cap.ini"
@@ -532,7 +531,7 @@ class TestPulseSpectrum:
         rc = main(["eigensolve", "--config", str(config), "--out", str(tmp_path / "e")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: [cap] ") and err.count("\n") == 1
+        assert err.startswith(f"error: --config {config}: [cap] ") and err.count("\n") == 1
 
     def test_more_elites_than_population_is_a_one_line_error(self, tmp_path, capsys):
         config = tmp_path / "bad_ga.ini"
@@ -541,7 +540,7 @@ class TestPulseSpectrum:
         rc = main(["optimize", "--config", str(config), "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: [ga] ") and err.count("\n") == 1
+        assert err.startswith(f"error: --config {config}: [ga] ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("old, new", [("n_points = 1024", "n_points = 8"),
                                           ("eta = 5e-6", "eta = -5e-6"),
@@ -592,8 +591,8 @@ def _desk_config(tmp_path, old, new, preset="desk"):
     return ["--config", str(path)]
 
 
-def _write(path, text):
-    path.write_text(text)
+def _write(path, text, encoding=None):
+    path.write_text(text, encoding=encoding)
     return path
 
 
@@ -645,6 +644,10 @@ _REJECTED_INPUTS = {
         "[potential] file: "),
     "inf-r-in-dipole-table": ("eigensolve", lambda tp: _desk_table(
         tp, "[dipole]", ["8 0.1", "20 0.1", "40 0.1", "inf 0.1"]), "[dipole] file: "),
+    "non-utf8-dipole-table": ("eigensolve", lambda tp: _desk_config(
+        tp, "d0 = 0.5\nrd = 28.0\np = 2.0",
+        f"file = {_write(tp / 'd.dat', 'é' + FLAT_DIPOLE, encoding='latin-1')}"),
+        "[dipole] file "),
     "short-dipole-table": ("eigensolve", lambda tp: _desk_table(
         tp, "[dipole]", ["8 0.1", "40 0.1", "68 0.1"]), "[dipole] file"),
     "potential-table-short-of-the-grid": ("eigensolve", lambda tp: _desk_table(
@@ -666,6 +669,9 @@ _REJECTED_INPUTS = {
         tp, "d0 = 0.5\nrd = 28.0\np = 2.0",
         f"model = ramp\nfile = {_write(tp / 'd.dat', FLAT_DIPOLE)}"),
         "[dipole] model: unknown key"),
+    "model-key": ("eigensolve", lambda tp: _desk_config(
+        tp, "[potential]", "[potential]\nmodel = morse"),
+        "[potential] model: unknown key; this section reads a, de, re"),
     "misspelled-pulse-key": ("propagate", lambda tp: ["--preset", "desk", "--pulse", str(
         _write(tp / "typo.cfg", DESK_PULSE.read_text() + "chrip = 5e-11\n"))],
         "typo.cfg: [pulse] chrip: unknown key; this section reads chirp, eps0, omega0, tau, "),
@@ -697,6 +703,58 @@ def test_rejected_input_is_one_error_line_and_no_output(tmp_path, capsys, case):
     assert rc == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert expected in err
+    assert not (tmp_path / "o").exists()
+
+
+# (what the --pulse file holds, or None for no file; text its one error line must contain)
+_REJECTED_PULSE_FILES = {
+    "unreadable": (None, "No such file or directory"),
+    "not-utf8": (b"\xff" + DESK_PULSE.read_bytes(), "can't decode byte 0xff"),
+    "no-pulse-section": (("[pulse]", "[puls]"), "[pulse] eps0: required field is missing"),
+    "syntax-error": (("omega0 = 1.5e-4", "omega0 1.5e-4"), "line 3: 'omega0 1.5e-4'\n"),
+    "unparsable-value": (("eps0 = 5e-3", "eps0 = x"), "[pulse] eps0: cannot parse 'x'"),
+    "percent-in-a-value": (("eps0 = 5e-3", "eps0 = 5e-3%"), "cannot parse '5e-3%'"),
+    "non-finite-value": (("tau0 = 2e4", "tau0 = inf"), "[pulse] pulse parameters must be finite"),
+    "non-positive-value": (("tau = 5e3", "tau = 0"), "[pulse] pulse parameters must be positive"),
+    "unknown-key": (("chirp = 1e-11", "chirp = 1e-11\nchrip = 5e-11"),
+                    "[pulse] chrip: unknown key"),
+    "unknown-section": (("chirp = 1e-11", "chirp = 1e-11\n[extra]\nchirp = 1"),
+                        "[extra]: unknown section"),
+}
+
+
+@pytest.mark.parametrize("command", ["propagate", "pulse-spectrum"])
+@pytest.mark.parametrize("case", sorted(_REJECTED_PULSE_FILES))
+def test_rejected_pulse_file_is_one_error_line_that_names_it(tmp_path, capsys, command, case):
+    content, expected = _REJECTED_PULSE_FILES[case]
+    pulse = tmp_path / "pulse.cfg"
+    if isinstance(content, bytes):
+        pulse.write_bytes(content)
+    elif content is not None:
+        old, new = content
+        assert old in DESK_PULSE.read_text()
+        pulse.write_text(DESK_PULSE.read_text().replace(old, new))
+    rc = main([command, "--preset", "desk", "--pulse", str(pulse), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith(f"error: --pulse {pulse}: ") and err.count("\n") == 1
+    assert err.count(str(pulse)) == 1 and expected in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("old, new, lineno, line", [
+    ("\n[grid]", "n_points = 64\n[grid]", 1, "n_points = 64"),
+    ("r_min = 8.0", "r_min 8.0", 3, "r_min 8.0"),
+    ("n_points = 1024", "n_points = 1024\nn_points = 512", 6, "n_points = 512"),
+    ("[ga]", "[cap]", 26, "[cap]"),
+], ids=["missing-section-header", "line-without-equals", "duplicate-key", "duplicate-section"])
+def test_config_syntax_error_is_one_line_naming_the_file_and_line(tmp_path, capsys, old, new,
+                                                                   lineno, line):
+    config = tmp_path / "run.ini"
+    assert old in PRESETS["desk"]
+    config.write_text(PRESETS["desk"].replace(old, new, 1))
+    assert main(["eigensolve", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: --config {config}: line {lineno}: {line!r}\n"
     assert not (tmp_path / "o").exists()
 
 
