@@ -9,6 +9,7 @@ genetic algorithm to concentrate population in a target level.
 __version__ = "0.1.0"
 
 from .curves import (
+    CurveError,
     ExpRampDipole,
     MorsePotential,
     TabulatedCurve,
@@ -53,7 +54,6 @@ from .pulse import (
     amplitude,
     bandwidth,
     heuristic_ranges,
-    instantaneous_frequency,
     spectrum,
 )
 

@@ -230,7 +230,6 @@ class RunConfig:
     ladder: tuple[int, ...]
     pulse: ChirpedPulseParams | None
     ga: GaConfig | None
-    tau_span: float  # [ga] tau_span, read only by the heuristic ranges
     dt: float | None
     sample_stride: int
     text: str
@@ -238,7 +237,8 @@ class RunConfig:
 
 class _Ini(configparser.ConfigParser):
     """A parsed INI text that records each (section, key) ``_get`` asks for. A syntax
-    error is a ConfigError that quotes its line."""
+    error is a ConfigError that quotes its line. So is a [DEFAULT] that holds a key,
+    which configparser would otherwise copy into every section."""
 
     def __init__(self, text: str):
         super().__init__(interpolation=None)  # a '%' in a value is a '%'
@@ -250,6 +250,9 @@ class _Ini(configparser.ConfigParser):
             lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
             line = text.split("\n")[lineno - 1].strip()
             raise ConfigError(f"line {lineno}: {line!r}") from None
+        if self.defaults():
+            raise ConfigError("[DEFAULT]: unknown section; "
+                              "a key goes in the section that reads it")
 
 
 def _get(cp: _Ini, section, key, cast, default=MISSING):
@@ -301,9 +304,10 @@ _EXPECTED = {int: "an integer", float: "a number", _parse_pair: "a pair of numbe
              _parse_ladder: "a list of integers"}
 
 
-def _parse_file(flag: str, path: str, parse):
-    """parse(text) of the --config or --pulse file at ``path``. Each ConfigError
-    raised while the file is read or parsed is led by ``flag path: ``, once."""
+def _parse_file(label: str, path: str, parse):
+    """parse(text) of the input file at ``path``: the --config or --pulse file, or a
+    [potential] or [dipole] table. Each ConfigError or CurveError raised while the
+    file is read or parsed is led by ``label path: ``, once."""
     try:
         try:
             text = Path(path).read_text(encoding="utf-8")
@@ -311,25 +315,21 @@ def _parse_file(flag: str, path: str, parse):
             # strerror, where there is one, leaves out the path named below
             raise ConfigError(getattr(exc, "strerror", None) or exc) from None
         return parse(text)
-    except ConfigError as exc:
-        raise ConfigError(f"{flag} {path}: {exc}") from None
+    except (ConfigError, CurveError) as exc:
+        raise ConfigError(f"{label} {path}: {exc}") from None
 
 
 def _load_curve(section: str, path: str, grid: RadialGrid) -> TabulatedCurve:
     """The [potential] or [dipole] table; it must cover the whole grid."""
-    try:
-        curve = load_tabulated(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        why = getattr(exc, "strerror", None) or exc
-        raise ConfigError(f"[{section}] file {path}: {why}") from None
-    except CurveError as exc:
-        raise ConfigError(f"[{section}] file: {exc}") from None
-    if curve.r[0] > grid.r_min or curve.r[-1] < grid.r_max:
-        raise ConfigError(
-            f"[{section}] file {path}: the table spans [{curve.r[0]:g}, {curve.r[-1]:g}] bohr "
-            f"and does not cover the grid [{grid.r_min:g}, {grid.r_max:g}]"
-        )
-    return curve
+    def parse(text: str) -> TabulatedCurve:
+        curve = load_tabulated(text)
+        if curve.r[0] > grid.r_min or curve.r[-1] < grid.r_max:
+            raise ConfigError(
+                f"the table spans [{curve.r[0]:g}, {curve.r[-1]:g}] bohr "
+                f"and does not cover the grid [{grid.r_min:g}, {grid.r_max:g}]"
+            )
+        return curve
+    return _parse_file(f"[{section}] file", path, parse)
 
 
 def _refuse_unread(cp: _Ini) -> None:
@@ -403,10 +403,6 @@ def parse_config(text: str) -> RunConfig:
             f.name: _get(cp, "ga", f.name, type(f.default), f.default)
             for f in fields(GaConfig)[1:]
         })
-    tau_span = _get(cp, "ga", "tau_span", float, 10.0)
-    if not 1.0 < tau_span < math.inf:
-        # tau_hi = tau_span * tau_lo, so the heuristic tau range needs tau_span > 1
-        raise ConfigError(f"[ga] tau_span: must be > 1 and finite, got {tau_span}")
 
     dt = _get(cp, "propagation", "dt", float, None)
     if dt is not None and not dt > 0:
@@ -427,7 +423,6 @@ def parse_config(text: str) -> RunConfig:
         ladder=ladder,
         pulse=pulse,
         ga=ga,
-        tau_span=tau_span,
         dt=dt,
         sample_stride=sample_stride,
         text=text,
@@ -534,7 +529,7 @@ def _ga_ranges(config: RunConfig, spec: VibrationalSpectrum | None) -> ParamRang
     try:
         return heuristic_ranges(
             spec, config.initial_level, config.ladder,
-            lifetime_au=life_s / AU_TIME_S, sdme=sd, tau_span=config.tau_span,
+            lifetime_au=life_s / AU_TIME_S, sdme=sd, tau_span=config.ga.tau_span,
         )
     except ChirpSignError as exc:
         raise ConfigError(f"[levels] ladder: {exc}") from None

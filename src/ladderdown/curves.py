@@ -1,15 +1,14 @@
 """Potential-energy and dipole-moment curves for a 1-D diatomic.
 
-Built-in analytic models (Morse well, peaked dipole ramp) plus an importer
-for tabulated two-column curve files. All curve objects are immutable and
-expose a vectorized ``value(r)`` in atomic units.
+Built-in analytic models (Morse well, peaked dipole ramp) plus a parser for
+the text of tabulated two-column curve files. All curve objects are
+immutable and expose a vectorized ``value(r)`` in atomic units.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -18,27 +17,8 @@ from .constants import MU_K39RB87
 
 
 class CurveError(Exception):
-    """Base class for curve construction / evaluation failures."""
-
-
-class CurveParseError(CurveError):
-    """A tabulated-curve file contains a token that is not a finite number."""
-
-    def __init__(self, path, line_no: int, token: str):
-        self.line_no = line_no
-        super().__init__(f"{path}:{line_no}: cannot parse {token!r} as a finite number")
-
-
-class CurveFormatError(CurveError):
-    """Sample abscissas are not strictly increasing."""
-
-
-class InsufficientDataError(CurveError):
-    """Fewer rows than the interpolation needs."""
-
-
-class ExtrapolationError(CurveError):
-    """Query point outside the tabulated range; extrapolation is refused."""
+    """A curve that cannot be built or evaluated: a table that does not parse,
+    too few or unordered samples, or a query outside the tabulated range."""
 
 
 @dataclass(frozen=True)
@@ -88,8 +68,8 @@ class TabulatedCurve:
     """Cubic-spline interpolant through sorted (r, value) samples.
 
     Node values are reproduced exactly; queries outside [r[0], r[-1]] raise
-    ExtrapolationError rather than extrapolating, since a silently invented
-    tail would corrupt the absorbing-region physics downstream.
+    CurveError rather than extrapolating, since a silently invented tail
+    would corrupt the absorbing-region physics downstream.
     """
 
     r: np.ndarray
@@ -99,13 +79,11 @@ class TabulatedCurve:
         r = np.asarray(self.r, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if r.ndim != 1 or v.shape != r.shape:
-            raise CurveFormatError("need matching 1-D abscissa/value arrays")
+            raise CurveError("need matching 1-D r and value arrays")
         if len(r) < 4:
-            raise InsufficientDataError(
-                f"need at least 4 samples for cubic interpolation, got {len(r)}"
-            )
+            raise CurveError(f"need at least 4 samples for cubic interpolation, got {len(r)}")
         if not np.all(np.diff(r) > 0):
-            raise CurveFormatError("sample abscissas must be strictly increasing")
+            raise CurveError("r must be strictly increasing")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "values", v)
         # not-a-knot ends: reproduces polynomials through cubic order exactly
@@ -116,7 +94,7 @@ class TabulatedCurve:
         lo, hi = self.r[0], self.r[-1]
         if np.any(r < lo) or np.any(r > hi):
             bad = r[(r < lo) | (r > hi)] if r.ndim else r
-            raise ExtrapolationError(
+            raise CurveError(
                 f"query at r={np.min(bad):g} outside tabulated range [{lo:g}, {hi:g}]"
             )
         out = np.asarray(self._spline(r))
@@ -126,40 +104,36 @@ class TabulatedCurve:
         return out[()] if out.ndim == 0 else out
 
 
-def load_tabulated(path) -> TabulatedCurve:
-    """Read a two-column (r, value) text file into a TabulatedCurve.
+def _finite(token: str, line_no: int) -> float:
+    """The finite number ``token`` on line ``line_no``; anything else is a CurveError."""
+    try:
+        x = float(token)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):  # the spline needs finite samples
+        raise CurveError(f"line {line_no}: cannot parse {token!r} as a finite number")
+    return x
+
+
+def load_tabulated(text: str) -> TabulatedCurve:
+    """The TabulatedCurve of the text of a two-column (r, value) table.
 
     Potentials and dipoles share this format. Columns may be separated by
     whitespace or commas; text after '#' is a comment. Values are taken
-    verbatim in atomic units.
+    verbatim in atomic units. A row that is not two finite numbers is a
+    CurveError that gives its line number.
     """
-    path = Path(path)
     rs: list[float] = []
     vs: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.replace(",", " ").split()
-            if len(tokens) != 2:
-                raise CurveParseError(path, line_no, raw.strip())
-            row = []
-            for tok in tokens:
-                try:
-                    row.append(float(tok))
-                except ValueError:
-                    raise CurveParseError(path, line_no, tok) from None
-                if not math.isfinite(row[-1]):  # the spline needs finite samples
-                    raise CurveParseError(path, line_no, tok)
-            rs.append(row[0])
-            vs.append(row[1])
-    if len(rs) < 4:
-        raise InsufficientDataError(f"{path}: need at least 4 data rows, got {len(rs)}")
-    r = np.array(rs)
-    if not np.all(np.diff(r) > 0):
-        raise CurveFormatError(f"{path}: r column must be strictly increasing")
-    return TabulatedCurve(r=r, values=np.array(vs))
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        tokens = raw.split("#", 1)[0].replace(",", " ").split()
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            raise CurveError(f"line {line_no}: need two numbers, r and value, got {raw.strip()!r}")
+        rs.append(_finite(tokens[0], line_no))
+        vs.append(_finite(tokens[1], line_no))
+    return TabulatedCurve(r=np.array(rs), values=np.array(vs))
 
 
 # --- default model curves -------------------------------------------------

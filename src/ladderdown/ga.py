@@ -16,6 +16,7 @@ fitness evaluations are parallelized.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -54,6 +55,7 @@ class GaConfig:
     crossover_prob: float = 0.25
     mutation_prob: float = 0.9
     seed: int = 1
+    tau_span: float = 10.0  # read only by the heuristic ranges
 
     def __post_init__(self):
         if not 0 < self.elites < self.population:
@@ -66,6 +68,9 @@ class GaConfig:
             raise ValueError("need at least one generation")
         if self.seed < 0:  # np.random.default_rng refuses negative seeds
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 1.0 < self.tau_span < math.inf:
+            # tau_hi = tau_span * tau_lo, so the heuristic tau range needs tau_span > 1
+            raise ValueError(f"tau_span: must be > 1 and finite, got {self.tau_span}")
 
 
 @dataclass

@@ -91,11 +91,6 @@ def amplitude(p: ChirpedPulseParams, t):
     )
 
 
-def instantaneous_frequency(p: ChirpedPulseParams, t):
-    """omega(t) = omega0 + chirp * (t - tau0)."""
-    return p.omega0 + p.chirp * (np.asarray(t, dtype=float) - p.tau0)
-
-
 def bandwidth(p: ChirpedPulseParams) -> float:
     """Spectral bandwidth sigma = 2*sqrt(2 ln 2) * sqrt(1/tau^2 + tau^2 C^2)."""
     return FWHM_FACTOR * math.sqrt(1.0 / p.tau**2 + (p.tau * p.chirp) ** 2)

@@ -82,6 +82,11 @@ def gaussian_packet(x, center, sigma, k0=0.0):
     return psi
 
 
+def instantaneous_frequency(p, t):
+    """omega(t) = omega0 + chirp * (t - tau0), the derivative of the pulse's phase."""
+    return p.omega0 + p.chirp * (np.asarray(t, dtype=float) - p.tau0)
+
+
 def chirped_gaussian_fft_fwhm(tau, chirp):
     """True FWHM of |FT eps|^2 for the chirped Gaussian field.
 

@@ -606,7 +606,11 @@ def _desk_table(tmp_path, header, rows):
 # a dipole table that covers the desk grid
 FLAT_DIPOLE = "8.0 0.1\n30.0 0.1\n50.0 0.1\n68.0 0.1\n"
 
-# (command, argv builder taking tmp_path, text the one error line must contain)
+# the start of the one error line of a --config run.ini whose [section] table is rejected
+_TABLE = "error: --config {tp}/run.ini: [%s] file {tp}/%s: "
+
+# (command, argv builder taking tmp_path, text the one error line must contain, in
+# which {tp} stands for tmp_path)
 _REJECTED_INPUTS = {
     "empty-ladder": ("eigensolve", lambda tp: _desk_config(
         tp, "ladder = 8, 6, 4, 2", "ladder ="), "[levels] ladder: "),
@@ -630,32 +634,48 @@ _REJECTED_INPUTS = {
     "negative-seed": ("optimize", lambda tp: ["--preset", "old20", "--surrogate",
                                               "--seed", "-1"], "seed must be >= 0"),
     "missing-config": ("eigensolve", lambda tp: ["--config", str(tp / "nowhere.ini")],
-                       "--config "),
+                       "error: --config {tp}/nowhere.ini: No such file or directory\n"),
     "missing-pulse": ("propagate", lambda tp: ["--preset", "desk", "--pulse",
-                                               str(tp / "nowhere.cfg")], "--pulse "),
+                                               str(tp / "nowhere.cfg")],
+                      "error: --pulse {tp}/nowhere.cfg: No such file or directory\n"),
     "missing-potential-table": ("eigensolve", lambda tp: _desk_config(
-        tp, "[potential]", f"[potential]\nfile = {tp / 'nowhere.dat'}"), "[potential] file "),
+        tp, "[potential]", f"[potential]\nfile = {tp / 'nowhere.dat'}"),
+        _TABLE % ("potential", "nowhere.dat") + "No such file or directory\n"),
     "missing-dipole-table": ("eigensolve", lambda tp: _desk_config(
-        tp, "[dipole]", f"[dipole]\nfile = {tp / 'nowhere.dat'}"), "[dipole] file "),
+        tp, "[dipole]", f"[dipole]\nfile = {tp / 'nowhere.dat'}"),
+        _TABLE % ("dipole", "nowhere.dat") + "No such file or directory\n"),
     "malformed-potential-table": ("eigensolve", lambda tp: _desk_table(
-        tp, "[potential]", ["8 -1e-3", "20 oops", "40 -1e-4", "68 0"]), "[potential] file"),
+        tp, "[potential]", ["8 -1e-3", "20 oops", "40 -1e-4", "68 0"]),
+        _TABLE % ("potential", "curve.dat") + "line 2: cannot parse 'oops' as a finite number\n"),
+    "three-columns-in-potential-table": ("eigensolve", lambda tp: _desk_table(
+        tp, "[potential]", ["# r, V", "8 -1e-3", "20 -1e-3 0", "40 -1e-4", "68 0"]),
+        _TABLE % ("potential", "curve.dat")
+        + "line 3: need two numbers, r and value, got '20 -1e-3 0'\n"),
     "nan-in-potential-table": ("eigensolve", lambda tp: _desk_table(
         tp, "[potential]", ["8 -1e-3", "20 nan", "40 -1e-4", "68 0"]),
-        "[potential] file: "),
+        _TABLE % ("potential", "curve.dat") + "line 2: cannot parse 'nan' as a finite number\n"),
     "inf-r-in-dipole-table": ("eigensolve", lambda tp: _desk_table(
-        tp, "[dipole]", ["8 0.1", "20 0.1", "40 0.1", "inf 0.1"]), "[dipole] file: "),
+        tp, "[dipole]", ["8 0.1", "20 0.1", "40 0.1", "inf 0.1"]),
+        _TABLE % ("dipole", "curve.dat") + "line 4: cannot parse 'inf' as a finite number\n"),
     "non-utf8-dipole-table": ("eigensolve", lambda tp: _desk_config(
         tp, "d0 = 0.5\nrd = 28.0\np = 2.0",
         f"file = {_write(tp / 'd.dat', 'é' + FLAT_DIPOLE, encoding='latin-1')}"),
-        "[dipole] file "),
+        _TABLE % ("dipole", "d.dat") + "'utf-8' codec can't decode byte 0xe9 in position 0"),
     "short-dipole-table": ("eigensolve", lambda tp: _desk_table(
-        tp, "[dipole]", ["8 0.1", "40 0.1", "68 0.1"]), "[dipole] file"),
+        tp, "[dipole]", ["8 0.1", "40 0.1", "68 0.1"]),
+        _TABLE % ("dipole", "curve.dat")
+        + "need at least 4 samples for cubic interpolation, got 3\n"),
+    "unordered-potential-table": ("eigensolve", lambda tp: _desk_table(
+        tp, "[potential]", ["8 -1e-3", "40 -1e-4", "20 -1e-3", "68 0"]),
+        _TABLE % ("potential", "curve.dat") + "r must be strictly increasing\n"),
     "potential-table-short-of-the-grid": ("eigensolve", lambda tp: _desk_table(
         tp, "[potential]", [f"{r!r} -1e-3" for r in (8.0, 20.0, 40.0, 60.0)]),
-        "does not cover the grid"),
+        _TABLE % ("potential", "curve.dat")
+        + "the table spans [8, 60] bohr and does not cover the grid [8, 68]\n"),
     "dipole-table-short-of-the-grid": ("eigensolve", lambda tp: _desk_table(
         tp, "[dipole]", [f"{r!r} 0.1" for r in (10.0, 20.0, 40.0, 68.0)]),
-        "does not cover the grid"),
+        _TABLE % ("dipole", "curve.dat")
+        + "the table spans [10, 68] bohr and does not cover the grid [8, 68]\n"),
     "dt-above-the-pulse-horizon": ("propagate", lambda tp: _desk_config(
         tp, "dt = 40.0", "dt = 5e4") + ["--pulse", str(DESK_PULSE)],
         "[propagation] dt: 50000 exceeds the pulse horizon"),
@@ -674,17 +694,18 @@ _REJECTED_INPUTS = {
         "[potential] model: unknown key; this section reads a, de, re"),
     "misspelled-pulse-key": ("propagate", lambda tp: ["--preset", "desk", "--pulse", str(
         _write(tp / "typo.cfg", DESK_PULSE.read_text() + "chrip = 5e-11\n"))],
-        "typo.cfg: [pulse] chrip: unknown key; this section reads chirp, eps0, omega0, tau, "),
+        "--pulse {tp}/typo.cfg: [pulse] chrip: unknown key; "
+        "this section reads chirp, eps0, omega0, tau, "),
     "extra-pulse-section": ("propagate", lambda tp: ["--preset", "desk", "--pulse", str(
         _write(tp / "extra.cfg", DESK_PULSE.read_text() + "[extra]\nchirp = 1\n"))],
-        "extra.cfg: [extra]: unknown section"),
+        "--pulse {tp}/extra.cfg: [extra]: unknown section"),
     "misspelled-spectrum-pulse-key": ("pulse-spectrum", lambda tp: ["--preset", "desk",
         "--pulse", str(_write(tp / "typo.cfg", DESK_PULSE.read_text() + "chrip = 5e-11\n"))],
-        "typo.cfg: [pulse] chrip: unknown key"),
+        "--pulse {tp}/typo.cfg: [pulse] chrip: unknown key"),
     "extra-spectrum-pulse-section": ("pulse-spectrum", lambda tp: ["--preset", "desk",
         "--pulse", str(_write(tp / "extra.cfg", "[extra]\nchirp = 1\n"
                               + DESK_PULSE.read_text()))],
-        "extra.cfg: [extra]: unknown section"),
+        "--pulse {tp}/extra.cfg: [extra]: unknown section"),
     # under a field of 1e-30 the eigenbasis steps of the corner search are
     # exact: the population error estimate is rounding from the first halving
     "dt-without-a-dt2-regime": ("optimize", lambda tp: ["--config", str(_unpinned_desk(
@@ -702,7 +723,9 @@ def test_rejected_input_is_one_error_line_and_no_output(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert rc == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert expected in err
+    assert expected.format(tp=tmp_path) in err
+    if "{tp}" in expected:  # every path of the line is in the expected text, once
+        assert err.count(str(tmp_path)) == expected.count("{tp}")
     assert not (tmp_path / "o").exists()
 
 
@@ -755,6 +778,25 @@ def test_config_syntax_error_is_one_line_naming_the_file_and_line(tmp_path, caps
     config.write_text(PRESETS["desk"].replace(old, new, 1))
     assert main(["eigensolve", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"error: --config {config}: line {lineno}: {line!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["propagate", "pulse-spectrum"])
+@pytest.mark.parametrize("flag", ["--config", "--pulse"])
+@pytest.mark.parametrize("default", ["foo = 1\n", "eps0 = 5e-3\n"],
+                         ids=["extra-key", "eps0-that-pulse-lacks"])
+def test_default_section_is_one_error_line_that_names_the_file(tmp_path, capsys, command,
+                                                                flag, default):
+    # configparser would copy a [DEFAULT] key into every section; here eps0 would
+    # complete the [pulse] that lacks it
+    pulse = DESK_PULSE.read_text().replace("eps0 = 5e-3\n", "")
+    files = {"--config": PRESETS["desk"] + "\n" + pulse, "--pulse": pulse}
+    path = tmp_path / "in.ini"
+    path.write_text("[DEFAULT]\n" + default + files[flag])
+    argv = [flag, str(path)] + (["--preset", "desk"] if flag == "--pulse" else [])
+    assert main([command, "--out", str(tmp_path / "o")] + argv) == 2
+    assert capsys.readouterr().err == (f"error: {flag} {path}: [DEFAULT]: unknown section; "
+                                       "a key goes in the section that reads it\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -6,11 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ladderdown.curves import (
-    CurveFormatError,
-    CurveParseError,
+    CurveError,
     ExpRampDipole,
-    ExtrapolationError,
-    InsufficientDataError,
     MorsePotential,
     TabulatedCurve,
     krb_standin_potential,
@@ -80,70 +77,72 @@ class TestDipole:
 
 
 class TestTabulated:
-    def _write(self, tmp_path, rows, name="curve.dat"):
-        path = tmp_path / name
-        path.write_text("\n".join(rows) + "\n")
-        return path
+    """load_tabulated parses a table's text; TabulatedCurve checks its samples."""
 
-    def test_nodes_reproduced_bit_exactly(self, tmp_path):
-        path = self._write(tmp_path, ["1 -1", "2 -2", "3 -3", "4 -4"])
-        curve = load_tabulated(path)
+    @staticmethod
+    def _load(rows):
+        return load_tabulated("".join(f"{row}\n" for row in rows))
+
+    def test_nodes_reproduced_bit_exactly(self):
+        curve = self._load(["1 -1", "2 -2", "3 -3", "4 -4"])
         for r, v in [(1, -1.0), (2, -2.0), (3, -3.0), (4, -4.0)]:
             assert float(curve.value(float(r))) == v
 
-    def test_linear_data_interpolates_linearly(self, tmp_path):
-        path = self._write(tmp_path, ["1 -1", "2 -2", "3 -3", "4 -4"])
-        curve = load_tabulated(path)
+    def test_linear_data_interpolates_linearly(self):
+        curve = self._load(["1 -1", "2 -2", "3 -3", "4 -4"])
         assert curve.value(2.5) == pytest.approx(-2.5, abs=1e-12)
 
-    def test_out_of_order_rows_rejected(self, tmp_path):
-        path = self._write(tmp_path, ["1 -1", "3 -3", "2 -2", "4 -4"])
-        with pytest.raises(CurveFormatError):
-            load_tabulated(path)
+    def test_out_of_order_rows_rejected(self):
+        with pytest.raises(CurveError, match="^r must be strictly increasing$"):
+            self._load(["1 -1", "3 -3", "2 -2", "4 -4"])
 
-    def test_duplicate_abscissa_rejected(self, tmp_path):
-        path = self._write(tmp_path, ["1 -1", "2 -2", "2 -2.5", "4 -4"])
-        with pytest.raises(CurveFormatError):
-            load_tabulated(path)
+    def test_duplicate_abscissa_rejected(self):
+        with pytest.raises(CurveError, match="^r must be strictly increasing$"):
+            self._load(["1 -1", "2 -2", "2 -2.5", "4 -4"])
 
-    def test_too_few_rows_rejected(self, tmp_path):
-        path = self._write(tmp_path, ["1 -1", "2 -2", "3 -3"])
-        with pytest.raises(InsufficientDataError):
-            load_tabulated(path)
+    def test_too_few_rows_rejected(self):
+        with pytest.raises(CurveError, match="^need at least 4 samples .*, got 3$"):
+            self._load(["1 -1", "2 -2", "3 -3"])
 
-    def test_parse_error_reports_line_number(self, tmp_path):
-        path = self._write(tmp_path, ["1 -1", "2 -2", "3 oops", "4 -4"])
-        with pytest.raises(CurveParseError) as err:
-            load_tabulated(path)
-        assert err.value.line_no == 3
-        assert "oops" in str(err.value)
+    def test_parse_error_reports_line_number(self):
+        with pytest.raises(CurveError) as err:
+            self._load(["1 -1", "2 -2", "3 oops", "4 -4"])
+        assert str(err.value) == "line 3: cannot parse 'oops' as a finite number"
 
     @pytest.mark.parametrize("rows, line_no, token", [
         (["1 -1", "2 nan", "3 -3", "4 -4"], 2, "nan"),
         (["1 -1", "2 -2", "3 -3", "inf -4"], 4, "inf"),
     ])
-    def test_non_finite_sample_reports_line_number(self, tmp_path, rows, line_no, token):
-        path = self._write(tmp_path, rows)
-        with pytest.raises(CurveParseError) as err:
-            load_tabulated(path)
-        assert err.value.line_no == line_no
-        assert str(err.value).startswith(f"{path}:{line_no}: cannot parse {token!r}")
+    def test_non_finite_sample_reports_line_number(self, rows, line_no, token):
+        with pytest.raises(CurveError) as err:
+            self._load(rows)
+        assert str(err.value) == f"line {line_no}: cannot parse {token!r} as a finite number"
 
-    def test_comments_and_commas_accepted(self, tmp_path):
-        path = self._write(
-            tmp_path,
-            ["# a comment", "1, -1", "2 -2  # inline", "3,-3", "4 -4"],
-        )
-        curve = load_tabulated(path)
+    @pytest.mark.parametrize("row", ["3", "3 -3 0", "3, -3, 0"])
+    def test_row_of_other_than_two_numbers_reports_line_number(self, row):
+        with pytest.raises(CurveError) as err:
+            self._load(["# r, value", "1 -1", "2 -2", row, "4 -4"])
+        assert str(err.value) == f"line 4: need two numbers, r and value, got {row!r}"
+
+    def test_comments_and_commas_accepted(self):
+        curve = self._load(["# a comment", "1, -1", "2 -2  # inline", "3,-3", "4 -4"])
         assert float(curve.value(3.0)) == -3.0
 
-    def test_extrapolation_refused(self, tmp_path):
-        path = self._write(tmp_path, ["1 -1", "2 -2", "3 -3", "4 -4"])
-        curve = load_tabulated(path)
-        with pytest.raises(ExtrapolationError):
+    def test_extrapolation_refused(self):
+        curve = self._load(["1 -1", "2 -2", "3 -3", "4 -4"])
+        with pytest.raises(CurveError, match="outside tabulated range"):
             curve.value(4.5)
-        with pytest.raises(ExtrapolationError):
+        with pytest.raises(CurveError, match="outside tabulated range"):
             curve.value(np.array([1.5, 0.5]))
+
+    def test_arrays_are_checked_as_the_text_is(self):
+        # the sample checks live in TabulatedCurve, which the parser builds
+        with pytest.raises(CurveError, match="at least 4"):
+            TabulatedCurve(r=np.array([1.0, 2.0, 3.0]), values=np.zeros(3))
+        with pytest.raises(CurveError, match="strictly increasing"):
+            TabulatedCurve(r=np.array([1.0, 3.0, 2.0, 4.0]), values=np.zeros(4))
+        with pytest.raises(CurveError, match="matching 1-D"):
+            TabulatedCurve(r=np.arange(4.0), values=np.zeros(5))
 
     @pytest.mark.parametrize("coeffs", [
         (0.3, 0.0, 0.0, 0.0),

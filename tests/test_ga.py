@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 import pickle
@@ -349,3 +350,8 @@ class TestOptimize:
         with pytest.raises(ValueError):
             GaConfig(ranges=RANGES, generations=0)
 
+    @pytest.mark.parametrize("tau_span", [1.0, 0.5, -1.0, math.inf, math.nan])
+    def test_tau_span_must_exceed_one_and_be_finite(self, tau_span):
+        # the heuristic tau range runs from tau_lo to tau_span * tau_lo
+        with pytest.raises(ValueError, match="^tau_span: must be > 1 and finite"):
+            GaConfig(ranges=None, tau_span=tau_span)

@@ -130,6 +130,17 @@ class TestStepperRun:
         assert np.max(np.abs(whole - shifted)) > 1e-6
         assert grid.dr * np.sum(np.abs(whole) ** 2) < 1.0 - 1e-3
 
+    @pytest.mark.parametrize("kind", ["grid", "eigen"])
+    def test_run_of_no_steps_returns_its_input(self, desk_steppers, desk_spectrum, kind):
+        psi = desk_spectrum.wavefunctions[8].astype(complex)
+        kept = psi.copy()
+
+        def field(t):
+            raise AssertionError("a run of no steps samples no field")
+
+        assert desk_steppers[kind].run(psi, 0.0, 0, field) is psi
+        assert np.array_equal(psi, kept)
+
 
 THETAS = [0.0, 1e-3, 0.1, 0.49, 0.5, 0.51, 1.0, 3.0, 7.5, 20.0]
 

@@ -17,10 +17,9 @@ from ladderdown.pulse import (
     bandwidth,
     fft_spectrum,
     heuristic_ranges,
-    instantaneous_frequency,
     spectrum,
 )
-from oracles import AnharmonicPotential, chirped_gaussian_fft_fwhm
+from oracles import AnharmonicPotential, chirped_gaussian_fft_fwhm, instantaneous_frequency
 
 # published optimal pulses of the four scenarios (atomic units)
 PUBLISHED_PULSES = {
